@@ -20,12 +20,12 @@ Processes
 Engine
     The batched Monte Carlo engine in :mod:`repro.engine`: declare a
     :class:`~repro.engine.SimulationPlan`, execute it with
-    :func:`~repro.engine.run_plan` on the ``serial`` / ``batched`` /
-    ``parallel`` backend, and aggregate the outcome as a
+    :func:`~repro.engine.run_plan` on the ``batched`` or ``parallel``
+    backend, and aggregate the outcome as a
     :class:`~repro.engine.TrialEnsemble`.  Trial batches such as
     :func:`~repro.core.flooding_trials` and
-    :func:`~repro.core.protocol_trials` accept the same
-    ``backend=`` switch directly.
+    :func:`~repro.core.protocol_trials` accept a ``backend=`` switch
+    directly, whose ``serial`` default is the reference loop.
 Theory
     Expansion measurement (:mod:`repro.core.expansion`) and the
     paper's bound calculators (:mod:`repro.core.bounds`).

@@ -251,7 +251,7 @@ def flooding_trials(
     ----------
     backend:
         ``"serial"`` (this loop, the reference path), ``"batched"``
-        (the vectorised engine of :mod:`repro.engine`), or
+        (the in-process engine of :mod:`repro.engine`), or
         ``"parallel"`` (chunked multiprocessing fan-out).  With the
         default ``rng_mode="replay"`` every backend is bit-identical
         to the serial path for the same *seed*.
@@ -296,36 +296,27 @@ def max_flooding_time_over_sources(
     seed: SeedLike = None,
     sources: Sequence[int] | None = None,
     max_steps: int | None = DEFAULT_MAX_STEPS,
-    backend: str = "batched",
 ) -> int:
     """``max_s T(s)`` over *sources* on a **single** realisation.
 
-    The same evolving-graph realisation is replayed for every source by
-    resetting with the same seed, which is exactly the paper's
-    definition of flooding time (max over sources for one sample of the
-    process).  Defaults to all ``n`` sources; pass a subset for large
-    graphs.
+    The same evolving-graph realisation serves every source, which is
+    exactly the paper's definition of flooding time (max over sources
+    for one sample of the process).  Defaults to all ``n`` sources;
+    pass a subset for large graphs.
 
-    The default ``backend="batched"`` advances the shared realisation
-    once while flooding all sources simultaneously as rows of an
-    ``(S, n)`` informed matrix — bit-identical to the ``"serial"``
-    source-by-source replay but without re-simulating the graph per
-    source.
+    The shared realisation is advanced once while all sources flood
+    simultaneously as rows of an ``(S, n)`` informed matrix
+    (:func:`repro.engine.run_multisource_replay`) — bit-identical to
+    resetting with one frozen seed and calling :func:`flooding_time`
+    source by source, without re-simulating the graph per source.
     """
+    from repro.engine.batch import run_multisource_replay
+
     n = graph.num_nodes
     if sources is None:
         sources = range(n)
     rng = as_generator(seed)
     # Freeze one replayable seed for the shared realisation.
     replay_seed = int(rng.integers(0, 2**63 - 1))
-    if backend == "batched":
-        from repro.engine.batch import run_multisource_replay
-
-        return run_multisource_replay(graph, sources, replay_seed,
-                                      resolve_max_steps(n, max_steps))
-    require(backend == "serial", f"unknown backend: {backend!r}")
-    worst = 0
-    for s in sources:
-        t = flooding_time(graph, int(s), seed=replay_seed, max_steps=max_steps)
-        worst = max(worst, t)
-    return worst
+    return run_multisource_replay(graph, sources, replay_seed,
+                                  resolve_max_steps(n, max_steps))

@@ -1,34 +1,30 @@
 """The pluggable batched-kernel protocol and its dispatch registry.
 
-The simulation engine (:mod:`repro.engine`) advances ``B`` independent
-flooding trials as one ``(B, n)`` informed matrix.  All of its
-*bookkeeping* — informed masks, histories, truncation, multi-source
-handling — is model-agnostic; only two things depend on the model
-family:
+The simulation engine (:mod:`repro.engine`) runs trials on two paths.
+Replay chunks and every model without native kernels run the
+per-trial reference loop against each model's own ``snapshot`` /
+``reset`` / ``step``, which needs nothing model-specific.  Only the
+*native* path depends on the model family: fully batched kernels that
+initialise, query, and advance all ``B`` trial populations of a chunk
+from one chunk-level generator (same process law as the serial
+reference, different realisations).
 
-1. the exact ``N(I)`` query against a live per-trial model (the
-   *replay* contract, bit-identical to the serial reference), and
-2. the fully batched native kernels that initialise, query, and advance
-   all ``B`` trial populations from one chunk-level generator (the
-   *native* contract: same process law, different realisations).
-
-:class:`BatchedDynamics` is the provider interface for both.  Model
-packages implement it next to their models and register a factory here
-(:func:`register_batched_dynamics`); the engine looks providers up with
-:func:`batched_dynamics_for`, which walks the model's MRO so that plain
-subclasses (a re-parameterised edge-MEG, say) inherit their family's
-kernels instead of silently falling back to the generic snapshot path.
-Unregistered families always work: :class:`GenericBatchedDynamics`
-answers replay queries through ``snapshot().neighborhood_mask`` and
-reports no native capability, which routes native runs to the engine's
-per-trial fallback.
+:class:`BatchedDynamics` is the provider interface for those kernels.
+Model packages implement it next to their models and register a
+factory here (:func:`register_batched_dynamics`); the engine looks
+providers up with :func:`batched_dynamics_for`, which walks the model's
+MRO so that plain subclasses (a re-parameterised edge-MEG, say) inherit
+their family's kernels instead of silently falling back to the
+per-trial loop.  Unregistered families always work:
+:class:`GenericBatchedDynamics` reports no native capability, which
+routes native runs to the engine's per-trial fallback.
 
 A factory may *decline* a particular template by returning ``None`` —
 the lookup then continues up the MRO.  The standard reason to decline
 is a subclass that overrides the very methods the kernel re-implements
 (:func:`uses_inherited` is the gate the built-in factories use): a
-kernel that replicates ``reset``/``step`` semantics is only exact for
-classes that inherit them unchanged.
+kernel that replicates ``snapshot``/``reset``/``step`` semantics is
+only exact for classes that inherit them unchanged.
 """
 
 from __future__ import annotations
@@ -51,38 +47,28 @@ __all__ = [
 
 
 class BatchedDynamics:
-    """Batched flooding-kernel provider for one model family.
+    """Native batched-kernel provider for one model family.
 
     A provider is constructed from a *template* model (the engine's
     deep-copied plan model) and serves one chunk of trials at a time.
     It carries the family's static configuration (``n``, rates, lattice,
     radius, ...); per-chunk mutable state lives in the opaque object
     returned by :meth:`batch_init` and threaded back through the other
-    native hooks.
+    hooks.
 
-    Contracts
-    ---------
-    replay (always available)
-        :meth:`replay_neighborhood` must be **bit-identical** to
-        ``model.snapshot().neighborhood_mask(informed)`` for every model
-        the factory accepts.  The engine drives per-trial models through
-        their own ``reset``/``step`` and only delegates the ``N(I)``
-        query, so replay results coincide with serial
-        :func:`repro.core.flooding.flood` draw for draw.
-    native (optional, ``native_capable = True``)
-        :meth:`batch_init` / :meth:`batch_neighborhood` /
-        :meth:`batch_step` must implement the model's *exact process
-        law* (stationary initialisation included), drawing randomness
-        only from the chunk generator the engine passes in.  Results are
-        identical in distribution to serial runs but are different
-        realisations; determinism in ``(seed, trials, chunk_size)`` is
-        inherited from the engine's chunk-seed derivation.
+    Contract: :meth:`batch_init` / :meth:`batch_neighborhood` /
+    :meth:`batch_step` must implement the model's *exact process law*
+    (stationary initialisation included), drawing randomness only from
+    the chunk generator the engine passes in.  Results are identical in
+    distribution to serial runs but are different realisations;
+    determinism in ``(seed, trials, chunk_size)`` is inherited from the
+    engine's chunk-seed derivation.
     """
 
     #: Whether the native chunk-stream kernels below are implemented and
     #: exact for this provider's template.  ``False`` routes native runs
-    #: to the engine's per-trial generic fallback.
-    native_capable: bool = False
+    #: to the engine's per-trial fallback.
+    native_capable: bool = True
 
     def __init__(self, template: EvolvingGraph) -> None:
         self.template = template
@@ -91,18 +77,6 @@ class BatchedDynamics:
     def num_nodes(self) -> int:
         """Number of nodes ``n`` of the template model."""
         return self.template.num_nodes
-
-    # -- replay contract ----------------------------------------------------
-
-    def replay_neighborhood(self, model: EvolvingGraph,
-                            informed: np.ndarray) -> np.ndarray:
-        """Exact ``N(I)`` of one live trial *model* at its current time.
-
-        The default goes through the model's own snapshot — always
-        correct, and the baseline every fast path must match bit for
-        bit.
-        """
-        return model.snapshot().neighborhood_mask(informed)
 
     # -- native contract ----------------------------------------------------
 
@@ -143,12 +117,11 @@ class BatchedDynamics:
 
 
 class GenericBatchedDynamics(BatchedDynamics):
-    """Fallback provider for unregistered model families.
+    """Fallback provider for models without native kernels.
 
-    Replay queries go through ``snapshot().neighborhood_mask`` (exact by
-    definition, ``O(n^2)``-ish per trial per step for dense snapshots);
-    there are no native kernels, so the engine steps per-trial models
-    with generators spawned from the chunk stream instead.
+    There are no native kernels, so the engine runs the per-trial
+    reference loop with generators spawned from the chunk stream
+    instead.
     """
 
     native_capable = False

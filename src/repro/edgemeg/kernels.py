@@ -5,24 +5,21 @@ protocol for :class:`~repro.edgemeg.meg.EdgeMEG` and
 :class:`~repro.edgemeg.sparse.SparseEdgeMEG` (and, via the registry's
 MRO dispatch, their plain subclasses such as
 :class:`~repro.edgemeg.er.ErMEG` and
-:class:`~repro.edgemeg.independent.IndependentMEG`):
+:class:`~repro.edgemeg.independent.IndependentMEG`).
 
-* **replay** — the exact ``N(I)`` query straight off each model's own
-  edge state: two segmented ``logical_or.reduceat`` sweeps over the flat
-  upper-triangle vector (dense), or two gathers plus a scatter over the
-  alive pair codes (sparse).  Pure boolean arithmetic, bit-identical to
-  the snapshot path.
-* **native** — both classes simulate the same per-edge two-state chain,
-  so they share one churn kernel: sparse regimes keep the alive edges of
-  all trials in flat arrays plus a presence bitmap (``O(alive + births)``
-  work per step), dense regimes batch one ``(B, P)`` uniform draw per
-  step.  Exact process law either way — stationary initial states,
-  per-edge chains — drawn from the engine's chunk generator.
+Both classes simulate the same per-edge two-state chain, so they share
+one native churn kernel.  Sparse regimes keep the alive edges of all
+trials in flat arrays plus a presence bitmap (``O(alive + births)`` work
+per step); dense regimes batch one ``(B, P)`` uniform draw per step and
+answer ``N(I)`` with two segmented ``logical_or.reduceat`` sweeps over
+the flat upper-triangle states.  Exact process law either way —
+stationary initial states, per-edge chains — drawn from the engine's
+chunk generator.
 
-Subclass gating: the factories accept any subclass that inherits
-``snapshot`` (the edge state stays authoritative, so the replay query is
-exact) and additionally require un-overridden ``reset``/``step`` for the
-native kernels (which re-implement exactly those semantics).
+Subclass gating: the factories serve only subclasses that inherit
+``snapshot``, ``reset`` and ``step`` unchanged (the kernel re-implements
+exactly those semantics); any other subclass gets the generic provider
+and runs the engine's per-trial fallback.
 """
 
 from __future__ import annotations
@@ -188,18 +185,17 @@ class _EdgeState:
     __slots__ = ("dense", "states", "presence", "key", "tid", "gu", "gv")
 
 
-class _EdgeFamilyKernel(BatchedDynamics):
-    """Native churn kernel shared by dense and sparse edge-MEGs.
+class EdgeBatchedDynamics(BatchedDynamics):
+    """Native churn kernel of :class:`EdgeMEG` (flat upper-triangle
+    edge states).
 
-    Both classes realise the same process — independent per-edge
-    two-state chains with stationary initial states — so one kernel
-    serves both; only the replay-side ``N(I)`` query (implemented by the
-    subclasses below) differs with the representation.
+    Both edge-MEG classes realise the same process — independent
+    per-edge two-state chains with stationary initial states — so this
+    kernel serves :class:`SparseEdgeMEG` too.
     """
 
-    def __init__(self, template, *, native: bool) -> None:
+    def __init__(self, template) -> None:
         super().__init__(template)
-        self.native_capable = native
         self._n = template.num_nodes
         self._p = template.p
         self._q = template.q
@@ -283,42 +279,20 @@ class _EdgeFamilyKernel(BatchedDynamics):
         state.gv = state.gv[keep]
 
 
-class EdgeBatchedDynamics(_EdgeFamilyKernel):
-    """Kernels for :class:`EdgeMEG` (flat upper-triangle edge states)."""
-
-    def replay_neighborhood(self, model: EdgeMEG,
-                            informed: np.ndarray) -> np.ndarray:
-        # Row-at-a-time keeps the working set inside the cache; a
-        # (B, P) stack measures slower than B single-row sweeps.
-        return batched_triu_neighborhood(model._states[None],
-                                         informed[None])[0]
-
-
-class SparseEdgeBatchedDynamics(_EdgeFamilyKernel):
-    """Kernels for :class:`SparseEdgeMEG` (sorted alive pair codes)."""
-
-    def replay_neighborhood(self, model: SparseEdgeMEG,
-                            informed: np.ndarray) -> np.ndarray:
-        n = self._n
-        u, v = decode_pairs(model._alive, n)
-        mask = np.zeros(n, dtype=bool)
-        mask[v[informed[u]]] = True
-        mask[u[informed[v]]] = True
-        return mask & ~informed
+class SparseEdgeBatchedDynamics(EdgeBatchedDynamics):
+    """The shared churn kernel, as served to :class:`SparseEdgeMEG`."""
 
 
 def _edge_factory(template: EdgeMEG) -> EdgeBatchedDynamics | None:
-    if not uses_inherited(template, EdgeMEG, "snapshot"):
-        return None  # edge state may be stale: use the generic provider
-    native = uses_inherited(template, EdgeMEG, "reset", "step")
-    return EdgeBatchedDynamics(template, native=native)
+    if not uses_inherited(template, EdgeMEG, "snapshot", "reset", "step"):
+        return None  # the kernel would not be exact: use the generic provider
+    return EdgeBatchedDynamics(template)
 
 
 def _sparse_factory(template: SparseEdgeMEG) -> SparseEdgeBatchedDynamics | None:
-    if not uses_inherited(template, SparseEdgeMEG, "snapshot"):
+    if not uses_inherited(template, SparseEdgeMEG, "snapshot", "reset", "step"):
         return None
-    native = uses_inherited(template, SparseEdgeMEG, "reset", "step")
-    return SparseEdgeBatchedDynamics(template, native=native)
+    return SparseEdgeBatchedDynamics(template)
 
 
 register_batched_dynamics(EdgeMEG, _edge_factory)

@@ -6,18 +6,18 @@ multipliers into batch dimensions:
 * :class:`~repro.engine.plan.SimulationPlan` — declarative description
   of a trial batch (model, trials, sources, budget, deterministic seed
   tree).
-* :mod:`~repro.engine.batch` — model- and protocol-agnostic batched
-  bookkeeping advancing ``B`` trials as a ``(B, n)`` informed matrix;
-  the model-family kernels plug in through the
-  :class:`~repro.dynamics.batched.BatchedDynamics` registry (providers
-  live next to their models: ``repro.edgemeg.kernels``,
-  ``repro.geometric.kernels``, ``repro.mobility.kernels``), the
-  spreading-process kernels through the
+* :mod:`~repro.engine.batch` — chunk execution: replay chunks run the
+  serial reference loop per trial; native chunks advance ``B`` trials
+  as a ``(B, n)`` informed matrix through the model-family kernels of
+  the :class:`~repro.dynamics.batched.BatchedDynamics` registry
+  (providers live next to their models: ``repro.edgemeg.kernels``,
+  ``repro.geometric.kernels``, ``repro.mobility.kernels``) and the
+  spreading-process kernels of the
   :class:`~repro.protocols.batched.BatchedProtocol` registry
-  (``SimulationPlan(protocol=...)``), with per-trial fallbacks for
-  unregistered families and protocols.
-* :func:`~repro.engine.executor.run_plan` — ``serial`` / ``batched`` /
-  ``parallel`` execution behind one call.
+  (``SimulationPlan(protocol=...)``), with a per-trial fallback for
+  pairs without native kernels.
+* :func:`~repro.engine.executor.run_plan` — ``batched`` / ``parallel``
+  execution behind one call.
 * :class:`~repro.engine.results.TrialEnsemble` — column-wise results
   that plug into :mod:`repro.analysis`.
 

@@ -1,46 +1,50 @@
-"""Batched spreading bookkeeping over pluggable model and protocol kernels.
+"""Chunk execution: the per-trial reference loop and the native kernels.
 
-This module advances **B independent spreading trials simultaneously**,
-holding the informed sets as a ``(B, n)`` boolean matrix.  Everything
-model-specific — the exact ``N(I)`` query against a live trial model,
-the fully batched native population kernels — is obtained through the
-:class:`~repro.dynamics.batched.BatchedDynamics` registry
-(:func:`~repro.dynamics.batched.batched_dynamics_for`), and everything
-*process*-specific — activation, transmission, stalling — through the
-:class:`~repro.protocols.batched.BatchedProtocol` registry
-(:func:`~repro.protocols.batched.batched_protocol_for`); this module
-owns only the protocol- and model-agnostic bookkeeping: informed
-matrices, count histories, truncation, multi-source seeding, and chunk
-assembly.  It imports **no concrete model classes** — model packages
-register their kernel providers (``repro.edgemeg.kernels``,
-``repro.geometric.kernels``, ``repro.mobility.kernels``) and any
-unregistered family runs on the generic snapshot fallback; likewise
-unregistered protocols run their serial rules per trial.
+A chunk runs on one of two paths, by the plan's stream layout (see
+:mod:`repro.engine.plan`):
 
-Two stream layouts are supported (see :mod:`repro.engine.plan`):
-*replay* advances each trial's own generators exactly like the serial
-reference, making every result bit-identical to
-:func:`repro.core.flooding.flood` /
-:func:`repro.protocols.runner.spread`; *native* draws from one
-chunk-level generator in batch order, enabling the vectorised
-population kernels that the providers implement (sparse edge churn,
-shared lattice steps, stacked mobility kinematics) composed with the
-mask-based protocol kernels.
+*replay*
+    The serial reference loop itself — one
+    :func:`repro.core.flooding.flood` (flooding) or
+    :func:`repro.protocols.runner.spread` (other protocols) call per
+    trial on one model, fed the chunk's slice of the serial stream
+    layout — so every result is bit-identical to ``flooding_trials`` /
+    ``spreading_trials`` on ``backend="serial"`` by construction.
+*native*
+    One chunk-level generator drawn in batch order, advancing **B
+    trials simultaneously** as a ``(B, n)`` boolean informed matrix.
+    Everything model-specific — the vectorised population kernels
+    (sparse edge churn, shared lattice steps, stacked mobility
+    kinematics) — comes from the
+    :class:`~repro.dynamics.batched.BatchedDynamics` registry
+    (:func:`~repro.dynamics.batched.batched_dynamics_for`), and
+    everything *process*-specific — activation, transmission, stalling
+    — from the :class:`~repro.protocols.batched.BatchedProtocol`
+    registry (:func:`~repro.protocols.batched.batched_protocol_for`).
+    Pairs without native kernels on both axes fall back to the
+    reference round loop per trial, with streams spawned from the
+    chunk generator.
+
+This module owns only the protocol- and model-agnostic bookkeeping:
+informed matrices, count histories, truncation, multi-source seeding,
+and chunk assembly.  It imports **no concrete model classes** — model
+packages register their kernel providers (``repro.edgemeg.kernels``,
+``repro.geometric.kernels``, ``repro.mobility.kernels``).
 """
-
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.flooding import _resolve_sources
+from repro.core.flooding import _resolve_sources, flood
 from repro.dynamics.base import EvolvingGraph
 from repro.dynamics.batched import BatchedDynamics, batched_dynamics_for
 from repro.engine.results import TrialEnsemble
-from repro.protocols.base import SpreadingProtocol
 from repro.protocols.batched import BatchedProtocol, batched_protocol_for
+from repro.protocols.runner import _spread_rounds, draw_trial_source, spread
 from repro.util.validation import require, require_node
 
 __all__ = [
@@ -50,134 +54,40 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# replay kernel: per-trial model streams, batched bookkeeping
+# per-trial reference loop: replay chunks and the native fallback
 # ---------------------------------------------------------------------------
 
-def _fresh_masks(pk: BatchedProtocol, kernel: BatchedDynamics,
-                 models: list[EvolvingGraph], states: list,
-                 informed: np.ndarray, act: list[int], t: int,
-                 rngs: "list[np.random.Generator | None] | None") -> np.ndarray:
-    """Fresh masks of the *act* trials through the protocol kernel.
-
-    Every provider's replay round is exact (for flooding, bit-identical
-    to the snapshot path by the dynamics contract; for other protocols,
-    the same draws as the serial :func:`repro.protocols.runner.spread`
-    round), so replay results stay bit-identical to the serial
-    reference.
-    """
-    n = informed.shape[1]
-    out = np.zeros((len(act), n), dtype=bool)
-    for j, b in enumerate(act):
-        rng = rngs[b] if rngs is not None else None
-        out[j] = pk.replay_round(kernel, models[b], states[b], informed[b],
-                                 t, rng)
-    return out
+def _ensemble(plan, results: list, n: int) -> TrialEnsemble:
+    """Per-trial *results* as one ensemble, honouring the plan's
+    recording flags so every path returns the same ensemble shape."""
+    ensemble = TrialEnsemble.from_results(results, num_nodes=n)
+    return replace(
+        ensemble,
+        histories=ensemble.histories if plan.record_history else (),
+        informed=ensemble.informed if plan.record_informed else None)
 
 
-def _run_models_loop(models: list[EvolvingGraph],
-                     sources: list[tuple[int, ...]],
-                     budget: int,
-                     record_history: bool,
-                     record_informed: bool,
-                     protocol: SpreadingProtocol,
-                     rngs: "list[np.random.Generator | None] | None" = None,
-                     ) -> TrialEnsemble:
-    """Advance already-reset per-trial models in lockstep.
-
-    Mirrors the update order of :func:`repro.core.flooding.flood` (and
-    its protocol generalisation :func:`repro.protocols.runner.spread`)
-    exactly — conditional recount, post-increment time, one step budget
-    shared by every trial, post-round stall check — so times, histories
-    and masks coincide with the serial reference."""
-    kernel = batched_dynamics_for(models[0])
-    n = models[0].num_nodes
-    pk = batched_protocol_for(protocol, n)
-    num = len(models)
-    informed = np.zeros((num, n), dtype=bool)
-    histories: list[list[int]] = []
-    states = []
-    for i, src in enumerate(sources):
-        informed[i, list(src)] = True
-        histories.append([len(src)])
-        states.append(pk.trial_state(src))
-    times = np.zeros(num, dtype=np.int64)
-    completed = np.zeros(num, dtype=bool)
-    act = [i for i in range(num) if histories[i][-1] < n]
-    for i in range(num):
-        if histories[i][-1] >= n:
-            completed[i] = True  # single-node graphs complete at t=0
-    t = 0
-    while act and t < budget:
-        fresh = _fresh_masks(pk, kernel, models, states, informed, act, t, rngs)
-        t += 1
-        still = []
-        for j, b in enumerate(act):
-            count = histories[b][-1]
-            if fresh[j].any():
-                informed[b] |= fresh[j]
-                pk.absorb(states[b], fresh[j], t)
-                count = int(informed[b].sum())
-            histories[b].append(count)
-            if count == n:
-                times[b] = t
-                completed[b] = True
-            elif t >= budget:
-                times[b] = t
-            elif pk.stalled(states[b], informed[b], t):
-                times[b] = t  # retired early; completed stays False
-            else:
-                models[b].step()
-                still.append(b)
-        act = still
-    return TrialEnsemble(
-        num_nodes=n,
-        sources=tuple(sources),
-        times=times,
-        completed=completed,
-        histories=tuple(np.asarray(h, dtype=np.int64) for h in histories)
-        if record_history else (),
-        informed=informed if record_informed else None,
-    )
-
-
-def _run_chunk_replay(plan, streams: list[np.random.Generator],
-                      count: int, budget: int) -> TrialEnsemble:
-    """Run *count* flooding trials whose ``(graph, source)`` generator
-    pairs are given in the serial layout (two streams per trial)."""
-    models = [plan.make_model() for _ in range(count)]
-    n = models[0].num_nodes
-    sources = []
-    for i in range(count):
-        rng_graph, rng_src = streams[2 * i], streams[2 * i + 1]
-        src = int(rng_src.integers(n)) if plan.source is None else plan.source
-        sources.append(_resolve_sources(src, n))
-        models[i].reset(rng_graph)
-    return _run_models_loop(models, sources, budget,
-                            plan.record_history, plan.record_informed,
-                            plan.protocol)
-
-
-def _run_chunk_replay_protocol(plan, trial_streams: list[tuple[int, int]],
-                               count: int, budget: int) -> TrialEnsemble:
-    """Run *count* non-flooding protocol trials from their per-trial
-    ``(run_seed, source_seed)`` integers (the
-    :func:`repro.protocols.runner.spreading_trials` layout)."""
-    from repro.protocols.runner import draw_trial_source, split_protocol_seed
-
-    protocol = plan.protocol
-    models = [plan.make_model() for _ in range(count)]
-    n = models[0].num_nodes
-    sources = []
-    rngs: list[np.random.Generator | None] = []
-    for i, (run_seed, source_seed) in enumerate(trial_streams):
-        src = draw_trial_source(plan.source, n, source_seed)
-        sources.append(_resolve_sources(src, n))
-        rng_graph, rng_proto = split_protocol_seed(protocol, run_seed)
-        models[i].reset(rng_graph)
-        rngs.append(rng_proto)
-    return _run_models_loop(models, sources, budget,
-                            plan.record_history, plan.record_informed,
-                            protocol, rngs)
+def _run_chunk_replay(plan, payload: dict, budget: int) -> TrialEnsemble:
+    """Run the chunk's trials on their replay streams, one reference
+    :func:`~repro.core.flooding.flood` (flooding: a ``(graph, source)``
+    generator pair per trial) or :func:`~repro.protocols.runner.spread`
+    (other protocols: per-trial ``(run_seed, source_seed)`` integers)
+    call at a time — bit-identical to the serial loops by construction."""
+    model = plan.make_model()
+    n = model.num_nodes
+    results = []
+    if plan.is_flooding:
+        streams = payload["streams"]
+        for rng_graph, rng_src in zip(streams[::2], streams[1::2]):
+            src = (int(rng_src.integers(n)) if plan.source is None
+                   else plan.source)
+            results.append(flood(model, src, seed=rng_graph, max_steps=budget))
+    else:
+        for run_seed, source_seed in payload["trial_streams"]:
+            src = draw_trial_source(plan.source, n, source_seed)
+            results.append(spread(plan.protocol, model, src, seed=run_seed,
+                                  max_steps=budget))
+    return _ensemble(plan, results, n)
 
 
 # ---------------------------------------------------------------------------
@@ -278,23 +188,26 @@ def _run_chunk_native(plan, kernel: BatchedDynamics, pk: BatchedProtocol,
                           plan.record_history, plan.record_informed)
 
 
-def _run_chunk_native_generic(plan, rng: np.random.Generator,
-                              count: int, budget: int) -> TrialEnsemble:
+def _run_chunk_native_generic(plan, model: EvolvingGraph,
+                              rng: np.random.Generator, count: int,
+                              budget: int) -> TrialEnsemble:
     """Native fallback for protocol/model pairs without composed batched
-    kernels: per-trial model stepping with generators spawned from the
-    chunk stream (the replay-style loop, minus the replay stream
-    layout).  Flooding spawns one stream per trial — the pre-protocol
-    layout, kept byte-stable — while protocols drawing per-round
-    randomness spawn a second block of per-trial protocol streams."""
-    models = [plan.make_model() for _ in range(count)]
-    n = models[0].num_nodes
+    kernels: the reference round loop per trial on one *model*, with
+    generators spawned from the chunk stream.  Each trial resets the
+    model from its own graph stream; protocols drawing per-round
+    randomness get a second block of per-trial protocol streams."""
+    n = model.num_nodes
     sources = _chunk_sources(plan, rng, count, n)
-    for model, stream in zip(models, rng.spawn(count)):
-        model.reset(stream)
-    rngs = (list(rng.spawn(count)) if plan.protocol.splits_seed else None)
-    return _run_models_loop(models, sources, budget,
-                            plan.record_history, plan.record_informed,
-                            plan.protocol, rngs)
+    graph_streams = rng.spawn(count)
+    proto_streams = (rng.spawn(count) if plan.protocol.splits_seed
+                     else [None] * count)
+    results = []
+    for src, rng_graph, rng_proto in zip(sources, graph_streams,
+                                         proto_streams):
+        model.reset(rng_graph)
+        results.append(_spread_rounds(plan.protocol, model, src, budget,
+                                      rng_proto))
+    return _ensemble(plan, results, n)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +229,7 @@ def run_chunk(payload: dict) -> TrialEnsemble:
     with obs.span("engine.chunk", start=start, stop=stop, trials=count,
                   mode=plan.rng_mode, protocol=plan.protocol.name) as sp:
         if plan.rng_mode == "replay":
-            if plan.is_flooding:
-                ensemble = _run_chunk_replay(plan, payload["streams"],
-                                             count, budget)
-            else:
-                ensemble = _run_chunk_replay_protocol(
-                    plan, payload["trial_streams"], count, budget)
+            ensemble = _run_chunk_replay(plan, payload, budget)
         else:
             rng = np.random.default_rng(payload["chunk_seed"])
             template = plan.make_model()
@@ -334,7 +242,8 @@ def run_chunk(payload: dict) -> TrialEnsemble:
                 ensemble = _run_chunk_native(plan, kernel, pk, rng, count,
                                              budget)
             else:
-                ensemble = _run_chunk_native_generic(plan, rng, count, budget)
+                ensemble = _run_chunk_native_generic(plan, template, rng,
+                                                     count, budget)
         if obs.enabled():
             times = np.asarray(ensemble.times)
             obs.counter("engine.trials", count)

@@ -1,24 +1,20 @@
-"""Plan execution: serial reference, in-process batching, and
-chunked multiprocessing fan-out.
+"""Plan execution: in-process chunks and chunked multiprocessing fan-out.
 
 ``run_plan`` is the single entry point.  Backends:
 
-``serial``
-    The reference path — one :func:`repro.core.flooding.flood` call per
-    trial on a single model instance, with the legacy stream layout.
-    Exists so every other backend has a bit-comparable baseline.
 ``batched``
-    Chunks of trials advance together through the batched bookkeeping of
-    :mod:`repro.engine.batch` and the model family's registered
-    :class:`~repro.dynamics.batched.BatchedDynamics` kernels, in this
-    process.
+    The plan's chunks run one after another in this process through
+    :func:`repro.engine.batch.run_chunk`.
 ``parallel``
     The same chunks, fanned out to worker processes.  Workers receive
     a self-contained payload (plan + pre-derived chunk randomness) and
     build their models locally, so nothing is shared but the results.
 
-With the plan's default ``rng_mode="replay"`` all three backends return
-bit-identical ensembles for the same seed; ``"native"`` trades that for
+The serial reference loops live outside the engine
+(``flooding_trials`` / ``spreading_trials`` with ``backend="serial"``).
+With the plan's default ``rng_mode="replay"`` both backends run those
+same per-trial loops on the serial stream layouts, so results are
+bit-identical to them for the same seed; ``"native"`` trades that for
 the fast chunk-stream kernels (deterministic in ``(seed, trials,
 chunk_size)``, independent of *jobs*).
 """
@@ -33,7 +29,7 @@ from typing import Callable, Sequence
 import multiprocessing
 
 from repro import obs
-from repro.core.flooding import _resolve_sources, flood, resolve_max_steps
+from repro.core.flooding import _resolve_sources, resolve_max_steps
 from repro.engine.batch import run_chunk
 from repro.engine.plan import SimulationPlan
 from repro.engine.results import TrialEnsemble
@@ -46,7 +42,7 @@ __all__ = ["run_plan", "fan_out_chunks", "BACKENDS", "default_jobs"]
 _log = get_logger("engine.executor")
 
 #: Supported execution backends.
-BACKENDS = ("serial", "batched", "parallel")
+BACKENDS = ("batched", "parallel")
 
 
 def default_jobs() -> int:
@@ -107,46 +103,6 @@ def fan_out_chunks(worker, payloads: Sequence[dict],
             return results
 
 
-def _run_serial(plan: SimulationPlan, root, budget: int) -> TrialEnsemble:
-    """Legacy per-trial loop (the bit-compatibility reference).
-
-    Flooding keeps its frozen ``spawn(seed, 2·trials)`` stream layout;
-    non-flooding protocols run :func:`repro.protocols.runner.spread`
-    over the per-trial ``derive_seed`` layout (see
-    :meth:`SimulationPlan.protocol_streams`).
-    """
-    model = plan.make_model()
-    n = model.num_nodes
-    results = []
-    if plan.is_flooding:
-        streams = plan.replay_streams(root)
-        for i in range(plan.trials):
-            rng_graph, rng_src = streams[2 * i], streams[2 * i + 1]
-            src = (int(rng_src.integers(n)) if plan.source is None
-                   else plan.source)
-            results.append(flood(model, src, seed=rng_graph, max_steps=budget))
-    else:
-        from repro.protocols.runner import draw_trial_source, spread
-
-        for run_seed, source_seed in plan.protocol_streams(root, 0, plan.trials):
-            src = draw_trial_source(plan.source, n, source_seed)
-            results.append(spread(plan.protocol, model, src, seed=run_seed,
-                                  max_steps=budget))
-    ensemble = TrialEnsemble.from_results(results, num_nodes=n)
-    if plan.record_history and plan.record_informed:
-        return ensemble
-    # Honour the plan's recording flags so every backend returns the
-    # same ensemble shape.
-    return TrialEnsemble(
-        num_nodes=ensemble.num_nodes,
-        sources=ensemble.sources,
-        times=ensemble.times,
-        completed=ensemble.completed,
-        histories=ensemble.histories if plan.record_history else (),
-        informed=ensemble.informed if plan.record_informed else None,
-    )
-
-
 def _chunk_payloads(plan: SimulationPlan, root, budget: int) -> list[dict]:
     payloads = []
     replay = plan.rng_mode == "replay"
@@ -189,8 +145,6 @@ def run_plan(plan: SimulationPlan, *, backend: str = "batched",
 
     with obs.span("engine.plan", backend=backend, trials=plan.trials, n=n,
                   rng_mode=plan.rng_mode, protocol=plan.protocol.name):
-        if backend == "serial":
-            return _run_serial(plan, root, budget)
         payloads = _chunk_payloads(plan, root, budget)
         if backend == "batched":
             parts = [run_chunk(p) for p in payloads]

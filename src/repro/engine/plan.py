@@ -2,7 +2,7 @@
 
 A :class:`SimulationPlan` captures *what* to simulate — model, trial
 count, sources, step budget, seed — independently of *how* it is
-executed (``serial`` / ``batched`` / ``parallel``, see
+executed (``batched`` / ``parallel``, see
 :mod:`repro.engine.executor`).  Everything random derives from the
 plan's single seed through one of two documented stream layouts:
 
@@ -64,7 +64,7 @@ class SimulationPlan:
     model:
         Template :class:`~repro.dynamics.base.EvolvingGraph`; the engine
         deep-copies it per trial/worker, so the instance you pass is
-        never mutated by the non-serial backends.  Exactly one of
+        never mutated by the engine.  Exactly one of
         *model* and *model_factory* must be given.
     model_factory:
         Zero-argument callable building a fresh model.  Must be

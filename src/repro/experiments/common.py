@@ -29,9 +29,11 @@ DEFAULT_SEED = 20090525
 
 _SCALES = ("quick", "standard", "full")
 
-#: CLI-facing backend names.  ``native`` is the batched engine with its
-#: fast chunk-stream RNG layout; the other three map one-to-one onto
-#: :data:`repro.engine.BACKENDS`.
+#: CLI-facing backend names.  ``serial`` is the per-trial reference loop
+#: of the trial functions, which never enters the engine; ``batched``
+#: and ``parallel`` map one-to-one onto :data:`repro.engine.BACKENDS`,
+#: and ``native`` is the batched engine with its fast chunk-stream RNG
+#: layout.
 BACKEND_CHOICES = ("serial", "batched", "native", "parallel")
 
 T = TypeVar("T")

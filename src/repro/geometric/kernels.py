@@ -1,22 +1,15 @@
 """Batched flooding kernels of the geometric-MEG family.
 
 Implements the :class:`~repro.dynamics.batched.BatchedDynamics`
-protocol for :class:`~repro.geometric.meg.GeometricMEG`:
+protocol for :class:`~repro.geometric.meg.GeometricMEG`.  The walker
+populations of all ``B`` trials share one ``(B, n)`` lattice-index
+array: the stationary initialisation and every move step are single
+vectorised lattice calls, and the ``N(I)`` query is the shared
+cell-grid query over all active trials
+(:func:`~repro.geometric.neighbors.batched_within_radius`).
 
-* **replay** — the exact radius query straight off each model's live
-  walker positions (the same
-  :func:`~repro.geometric.neighbors.within_radius_of_members` call the
-  snapshot would make, minus the snapshot object).
-* **native** — the walker populations of all ``B`` trials share one
-  ``(B, n)`` lattice-index array: the stationary initialisation and
-  every move step are single vectorised lattice calls, and the ``N(I)``
-  query is the shared cell-grid query over all active trials
-  (:func:`~repro.geometric.neighbors.batched_within_radius`).
-
-Subclass gating mirrors the edge family: the factory accepts any
-subclass that inherits ``snapshot`` (positions stay authoritative for
-the replay query) and requires un-overridden ``reset``/``step`` for the
-native kernels.
+Subclass gating mirrors the edge family: the factory serves only
+subclasses that inherit ``snapshot``, ``reset`` and ``step`` unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +22,7 @@ from repro.dynamics.batched import (
     uses_inherited,
 )
 from repro.geometric.meg import GeometricMEG
-from repro.geometric.neighbors import batched_within_radius, within_radius_of_members
+from repro.geometric.neighbors import batched_within_radius
 
 __all__ = ["GeometricBatchedDynamics"]
 
@@ -43,21 +36,11 @@ class _WalkerState:
 class GeometricBatchedDynamics(BatchedDynamics):
     """Kernels for :class:`GeometricMEG` (lattice walkers + radius graph)."""
 
-    def __init__(self, template: GeometricMEG, *, native: bool) -> None:
+    def __init__(self, template: GeometricMEG) -> None:
         super().__init__(template)
-        self.native_capable = native
         self._lattice = template.lattice
         self._radius = template.radius
         self._n = template.num_nodes
-
-    # -- replay -------------------------------------------------------------
-
-    def replay_neighborhood(self, model: GeometricMEG,
-                            informed: np.ndarray) -> np.ndarray:
-        return within_radius_of_members(model.walkers.positions(), informed,
-                                        model.radius)
-
-    # -- native -------------------------------------------------------------
 
     def batch_init(self, count: int, rng: np.random.Generator) -> _WalkerState:
         ix, iy = self._lattice.sample_stationary_indices(count * self._n,
@@ -84,10 +67,9 @@ class GeometricBatchedDynamics(BatchedDynamics):
 
 
 def _geometric_factory(template: GeometricMEG) -> GeometricBatchedDynamics | None:
-    if not uses_inherited(template, GeometricMEG, "snapshot"):
+    if not uses_inherited(template, GeometricMEG, "snapshot", "reset", "step"):
         return None
-    native = uses_inherited(template, GeometricMEG, "reset", "step")
-    return GeometricBatchedDynamics(template, native=native)
+    return GeometricBatchedDynamics(template)
 
 
 register_batched_dynamics(GeometricMEG, _geometric_factory)

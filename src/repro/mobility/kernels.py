@@ -8,19 +8,16 @@ geometric kernels were extracted from the engine): it batches all ``B``
 mobility model, and answers the ``N(I)`` query with the shared batched
 radius query of :func:`repro.geometric.neighbors.batched_within_radius`
 — so the Section 3 "further mobility models" experiments (E11/E12) run
-on the engine's ``batched``/``native``/``parallel`` backends instead of
-the per-trial snapshot fallback.
+natively on the engine instead of through its per-trial fallback.
 
-* **replay** — exact per-trial radius query off the live model's
-  positions, bit-identical to
-  ``MobilityMEG.snapshot().neighborhood_mask`` (same
-  ``within_radius_of_members`` call, same arguments).
-* **native** — per-model batched kinematics drawn from the chunk
-  generator.  Each supported :class:`~repro.mobility.base.MobilityModel`
-  has a ``_Batched*`` twin below that holds the whole chunk's kinematic
-  state and replicates the serial model's update law vectorised over the
-  extra batch axis, including ``MobilityMEG``'s warm-up semantics for
-  models without an exact stationary start.
+The kinematics are drawn from the chunk generator.  Each supported
+:class:`~repro.mobility.base.MobilityModel` has a ``_Batched*`` twin
+below that holds the whole chunk's kinematic state and replicates the
+serial model's update law vectorised over the extra batch axis,
+including ``MobilityMEG``'s warm-up semantics for models without an
+exact stationary start.  Models without a twin, and ``MobilityMEG``
+subclasses overriding ``snapshot``/``reset``/``step``, get the generic
+provider and run the engine's per-trial fallback.
 
 Adding a mobility model to the native fast path = writing its
 ``_Batched*`` twin and adding one ``_KINEMATICS`` entry; the registry
@@ -36,7 +33,7 @@ from repro.dynamics.batched import (
     register_batched_dynamics,
     uses_inherited,
 )
-from repro.geometric.neighbors import batched_within_radius, within_radius_of_members
+from repro.geometric.neighbors import batched_within_radius
 from repro.mobility.base import MobilityMEG, MobilityModel
 from repro.mobility.direction import RandomDirection
 from repro.mobility.torus_walk import TorusGridWalk
@@ -202,22 +199,12 @@ def _kinematics_for(model: MobilityModel) -> type | None:
 class MobilityBatchedDynamics(BatchedDynamics):
     """Kernels for :class:`MobilityMEG` over any supported mobility model."""
 
-    def __init__(self, template: MobilityMEG, kinematics: type | None) -> None:
+    def __init__(self, template: MobilityMEG, kinematics: type) -> None:
         super().__init__(template)
-        self.native_capable = kinematics is not None
         self._kinematics = kinematics
         self._radius = template.radius
         self._boxsize = template.boxsize
         self._warmup = template.warmup_steps
-
-    # -- replay -------------------------------------------------------------
-
-    def replay_neighborhood(self, model: MobilityMEG,
-                            informed: np.ndarray) -> np.ndarray:
-        return within_radius_of_members(model.model.positions(), informed,
-                                        model.radius, boxsize=model.boxsize)
-
-    # -- native -------------------------------------------------------------
 
     def batch_init(self, count: int, rng: np.random.Generator):
         kin = self._kinematics(self.template.model)
@@ -238,11 +225,11 @@ class MobilityBatchedDynamics(BatchedDynamics):
 
 
 def _mobility_factory(template: MobilityMEG) -> MobilityBatchedDynamics | None:
-    if not uses_inherited(template, MobilityMEG, "snapshot"):
+    if not uses_inherited(template, MobilityMEG, "snapshot", "reset", "step"):
         return None
     kinematics = _kinematics_for(template.model)
-    if not uses_inherited(template, MobilityMEG, "reset", "step"):
-        kinematics = None
+    if kinematics is None:
+        return None
     return MobilityBatchedDynamics(template, kinematics)
 
 

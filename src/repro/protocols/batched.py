@@ -1,39 +1,31 @@
 """Batched protocol kernels and their dispatch registry.
 
-The protocol counterpart of :mod:`repro.dynamics.batched`: the engine
-advances ``B`` trials as one ``(B, n)`` informed matrix, and everything
-*protocol*-specific — which nodes transmit, what they reach, when the
-process stalls — arrives through a :class:`BatchedProtocol` provider
-looked up in an MRO-walking registry (:func:`batched_protocol_for`).
-Protocol families register a kernel factory next to their protocol
-class; plain subclasses (a re-parameterised p-flood, say) inherit their
-family's kernel, and unregistered protocols always work through the
-:class:`GenericBatchedProtocol` fallback, which drives the serial
-per-round rules trial by trial.
+The protocol counterpart of :mod:`repro.dynamics.batched`: on the
+engine's native path ``B`` trials advance as one ``(B, n)`` informed
+matrix, and everything *protocol*-specific — which nodes transmit, what
+they reach, when the process stalls — arrives through a
+:class:`BatchedProtocol` provider looked up in an MRO-walking registry
+(:func:`batched_protocol_for`).  Protocol families register a kernel
+factory next to their protocol class; plain subclasses (a
+re-parameterised p-flood, say) inherit their family's kernel, and
+unregistered protocols always work through the
+:class:`GenericBatchedProtocol` fallback, which reports no native
+capability.
 
-Two contracts, mirroring the dynamics kernels:
+Replay chunks never consult this registry: they run the serial
+reference loop :func:`repro.protocols.runner.spread` per trial.
 
-replay (always available)
-    :meth:`BatchedProtocol.replay_round` serves one live trial with its
-    own protocol generator and must be **bit-identical** to the serial
-    reference loop :func:`repro.protocols.runner.spread` — same draws,
-    same masks.  Mask-composing kernels route the neighborhood query
-    through the model family's
-    :meth:`~repro.dynamics.batched.BatchedDynamics.replay_neighborhood`
-    (exact by the dynamics contract), so protocol replay inherits every
-    family's fast replay query.
-
-native (optional, ``native_capable = True``)
-    The protocol's transmissions are expressed as a *member-set*
-    neighborhood query: :meth:`BatchedProtocol.batch_active` returns the
-    transmitting member rows for the active trials, the engine answers
-    them through the dynamics kernel's ``batch_neighborhood``, and
-    :meth:`batch_absorb` / :meth:`batch_stalled` maintain the ``(B, n)``
-    protocol state.  Flooding, p-flooding, and expiring flooding
-    compose this way with **every** native dynamics kernel (edge,
-    geometric, mobility); per-node sampling protocols (push / pull /
-    push–pull) have no member-set form, so their native runs use the
-    engine's per-trial fallback with chunk-spawned streams.
+The native contract (``native_capable = True``): the protocol's
+transmissions are expressed as a *member-set* neighborhood query.
+:meth:`BatchedProtocol.batch_active` returns the transmitting member
+rows for the active trials, the engine answers them through the
+dynamics kernel's ``batch_neighborhood``, and :meth:`batch_absorb` /
+:meth:`batch_stalled` maintain the ``(B, n)`` protocol state.
+Flooding, p-flooding, and expiring flooding compose this way with
+**every** native dynamics kernel (edge, geometric, mobility); per-node
+sampling protocols (push / pull / push–pull) have no member-set form,
+so their native runs use the engine's per-trial fallback with
+chunk-spawned streams.
 """
 
 from __future__ import annotations
@@ -42,8 +34,6 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.dynamics.base import EvolvingGraph
-from repro.dynamics.batched import BatchedDynamics
 from repro.protocols.base import Flooding, SpreadingProtocol
 from repro.protocols.zoo import (
     ExpiringFlooding,
@@ -69,9 +59,8 @@ class BatchedProtocol:
 
     Constructed from a protocol instance and the model size ``n``; one
     provider serves one chunk of trials.  Per-chunk mutable protocol
-    state lives in the objects returned by :meth:`trial_state` (replay,
-    one per trial) or :meth:`batch_state` (native, ``(B, ...)`` arrays)
-    and is threaded back through the other hooks.
+    state lives in the ``(B, ...)`` arrays returned by
+    :meth:`batch_state` and is threaded back through the other hooks.
     """
 
     #: Whether the protocol's transmissions reduce to a member-set
@@ -82,34 +71,6 @@ class BatchedProtocol:
     def __init__(self, protocol: SpreadingProtocol, num_nodes: int) -> None:
         self.protocol = protocol
         self.num_nodes = num_nodes
-
-    # -- replay contract ----------------------------------------------------
-
-    def trial_state(self, sources: Sequence[int]) -> Any:
-        """Protocol state of one fresh trial."""
-        return self.protocol.state_init(self.num_nodes, sources)
-
-    def replay_round(self, dyn: BatchedDynamics, model: EvolvingGraph,
-                     state: Any, informed: np.ndarray, t: int,
-                     rng: np.random.Generator | None) -> np.ndarray:
-        """One round of one live trial: the fresh mask it produces.
-
-        The default drives the serial rules against the model's own
-        snapshot — always correct, and the baseline every specialised
-        kernel must match bit for bit.
-        """
-        protocol = self.protocol
-        active = protocol.active_mask(state, informed, t, rng)
-        return protocol.transmit(model.snapshot(), state, informed, active,
-                                 t, rng)
-
-    def absorb(self, state: Any, fresh: np.ndarray, t: int) -> None:
-        """Replay-side state update for nodes informed at time *t*."""
-        self.protocol.absorb(state, fresh, t)
-
-    def stalled(self, state: Any, informed: np.ndarray, t: int) -> bool:
-        """Replay-side retire predicate after round *t*."""
-        return self.protocol.stalled(state, informed, t)
 
     # -- native contract ----------------------------------------------------
 
@@ -145,12 +106,10 @@ class BatchedProtocol:
 
 
 class GenericBatchedProtocol(BatchedProtocol):
-    """Fallback provider for unregistered protocol families.
+    """Fallback provider for protocols without native kernels.
 
-    Replay rounds drive the serial per-round rules against each trial's
-    snapshot (exact by definition); there are no native kernels, so the
-    engine steps per-trial models with generators spawned from the
-    chunk stream instead.
+    The engine runs the serial per-round rules trial by trial instead,
+    with generators spawned from the chunk stream.
     """
 
     native_capable = False
@@ -163,16 +122,11 @@ class GenericBatchedProtocol(BatchedProtocol):
 class FloodingBatched(BatchedProtocol):
     """Flooding kernel: the identity composition.
 
-    Replay rounds are exactly the pre-registry engine query —
-    ``dyn.replay_neighborhood(model, informed)`` — and the native hooks
-    hand the informed matrix through untouched, so both stream layouts
-    reproduce the pre-PR flooding results byte for byte.
+    The native hooks hand the informed matrix through untouched, so
+    native flooding draws exactly what the dynamics kernel alone draws.
     """
 
     native_capable = True
-
-    def replay_round(self, dyn, model, state, informed, t, rng):
-        return dyn.replay_neighborhood(model, informed)
 
     def batch_state(self, count, sources):
         return None
@@ -186,14 +140,6 @@ class _MaskProtocolBatched(BatchedProtocol):
     with a per-round activation mask (p-flooding, expiring flooding)."""
 
     native_capable = True
-
-    def replay_round(self, dyn, model, state, informed, t, rng):
-        active = self.protocol.active_mask(state, informed, t, rng)
-        if not active.any():
-            return np.zeros(informed.shape[0], dtype=bool)
-        # The family's exact replay query (bit-identical to the
-        # snapshot path by the dynamics contract) on the *active* set.
-        return dyn.replay_neighborhood(model, active) & ~informed
 
     def batch_state(self, count, sources):
         return None
@@ -284,8 +230,8 @@ def registered_protocol_families() -> tuple[type, ...]:
 
 # Built-in registrations.  Push/pull/push–pull transmit by per-node
 # neighbor sampling — no member-set form, hence no native kernels; the
-# generic provider already runs their vectorised serial rules per
-# trial, so registering it simply documents the family.
+# engine runs their vectorised serial rules per trial, so registering
+# the generic provider simply documents the family.
 register_batched_protocol(Flooding, FloodingBatched)
 register_batched_protocol(ProbabilisticFlooding, ProbabilisticFloodingBatched)
 register_batched_protocol(ExpiringFlooding, ExpiringFloodingBatched)

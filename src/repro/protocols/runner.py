@@ -3,7 +3,11 @@
 :func:`spread` is the protocol generalisation of
 :func:`repro.core.flooding.flood` — one run of one protocol on one
 evolving-graph realisation, returning the same
-:class:`~repro.core.flooding.FloodingResult` record.  For
+:class:`~repro.core.flooding.FloodingResult` record.  It is the only
+exact round loop for protocols: the serial backend calls it per trial,
+the engine's replay chunks call it per trial on their slice of the
+same stream layout, and the engine's native fallback runs its round
+loop (:func:`_spread_rounds`) on chunk-spawned streams.  For
 :class:`~repro.protocols.base.Flooding` it is **bit-identical** to
 ``flood`` (same seed handling, same per-round query, same bookkeeping);
 for randomized protocols it splits the seed as
@@ -14,8 +18,9 @@ of :mod:`repro.core.spreading`, kept so the new
 ``probabilistic_flood`` / ``parsimonious_flood`` draw for draw).
 
 :func:`spreading_trials` is the protocol counterpart of
-:func:`repro.core.flooding.flooding_trials`: independent trials over
-the serial / batched / parallel backends via the engine.  Per-trial
+:func:`repro.core.flooding.flooding_trials`: independent trials on the
+serial backend (a loop here, outside the engine) or on the engine's
+batched / parallel backends.  Per-trial
 randomness uses the ``derive_seed`` discipline of
 :func:`repro.core.spreading.protocol_trials` — trial ``i`` of any
 protocol gets the integer seed ``derive_seed(seed, 2 i)`` (and its
@@ -104,7 +109,20 @@ def spread(
     rng_graph, rng_proto = split_protocol_seed(protocol, seed)
     if reset:
         graph.reset(rng_graph)
+    return _spread_rounds(protocol, graph, sources, budget, rng_proto)
 
+
+def _spread_rounds(protocol: SpreadingProtocol, graph: EvolvingGraph,
+                   sources: tuple[int, ...], budget: int,
+                   rng_proto: "np.random.Generator | None") -> FloodingResult:
+    """The round loop of :func:`spread` on an already-reset *graph*.
+
+    *sources* are resolved and *budget* is a resolved step count;
+    *rng_proto* is the protocol's own generator (``None`` for protocols
+    that draw none).  The engine's native fallback calls this with its
+    chunk-spawned streams.
+    """
+    n = graph.num_nodes
     informed = np.zeros(n, dtype=bool)
     informed[list(sources)] = True
     state = protocol.state_init(n, sources)

@@ -15,16 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.flooding import flooding_trials, max_flooding_time_over_sources
+from repro.core.flooding import (
+    flooding_time,
+    flooding_trials,
+    max_flooding_time_over_sources,
+)
 from repro.dynamics.sequence import StaticEvolvingGraph, cycle_adjacency
 from repro.dynamics.snapshots import AdjacencySnapshot
 from repro.edgemeg.independent import IndependentDynamicGraph
 from repro.edgemeg.meg import EdgeMEG
 from repro.edgemeg.sparse import SparseEdgeMEG
-from repro.engine import SimulationPlan, run_plan
+from repro.engine import SimulationPlan, TrialEnsemble, run_plan
 from repro.engine.testing import assert_results_bit_identical as assert_bit_identical
 from repro.geometric.meg import GeometricMEG
 from repro.mobility import MobilityMEG, RandomWaypoint
+from repro.util.rng import as_generator
 
 
 MODELS = [
@@ -76,8 +81,8 @@ class TestReplayBitIdentical:
     def test_chunking_is_invisible(self):
         """Replay results must not depend on the chunk layout."""
         meg = EdgeMEG(20, 0.2, 0.4)
-        reference = run_plan(SimulationPlan(model=meg, trials=9, seed=11),
-                             backend="serial")
+        reference = TrialEnsemble.from_results(
+            flooding_trials(meg, trials=9, seed=11))
         for chunk_size in (1, 2, 4, 9, 50):
             plan = SimulationPlan(model=meg, trials=9, seed=11,
                                   chunk_size=chunk_size)
@@ -106,35 +111,42 @@ class TestReplayBitIdentical:
         assert_bit_identical(serial, engine)
 
 
+def max_over_sources_oracle(graph, *, seed, sources=None, max_steps=None):
+    """Brute-force ``max_s T(s)``: reset with one frozen seed and flood
+    from each source in turn (the paper's definition, replayed)."""
+    replay_seed = int(as_generator(seed).integers(0, 2**63 - 1))
+    if sources is None:
+        sources = range(graph.num_nodes)
+    worst = 0
+    for s in sources:
+        t = flooding_time(graph, int(s), seed=replay_seed, max_steps=max_steps)
+        worst = max(worst, t)
+    return worst
+
+
 class TestMaxOverSourcesBatched:
     def test_static_cycle_diameter(self):
         graph = StaticEvolvingGraph(AdjacencySnapshot(cycle_adjacency(9)))
-        assert max_flooding_time_over_sources(graph, seed=0,
-                                              backend="batched") == 4
+        assert max_flooding_time_over_sources(graph, seed=0) == 4
 
     @pytest.mark.parametrize("seed", [0, 4, 9])
     def test_edge_meg_equals_serial(self, seed):
         meg = EdgeMEG(16, 0.3, 0.3)
-        serial = max_flooding_time_over_sources(meg, seed=seed,
-                                                backend="serial")
-        batched = max_flooding_time_over_sources(meg, seed=seed,
-                                                 backend="batched")
+        serial = max_over_sources_oracle(meg, seed=seed)
+        batched = max_flooding_time_over_sources(meg, seed=seed)
         assert serial == batched
 
     def test_geometric_subset_equals_serial(self):
         meg = GeometricMEG(25, move_radius=1.0, radius=3.0)
-        serial = max_flooding_time_over_sources(meg, seed=3, sources=range(8),
-                                                backend="serial")
-        batched = max_flooding_time_over_sources(meg, seed=3, sources=range(8),
-                                                 backend="batched")
+        serial = max_over_sources_oracle(meg, seed=3, sources=range(8))
+        batched = max_flooding_time_over_sources(meg, seed=3, sources=range(8))
         assert serial == batched
 
     def test_truncation_raises_like_serial(self):
         disconnected = StaticEvolvingGraph(
             AdjacencySnapshot(np.zeros((4, 4), dtype=bool)))
         with pytest.raises(RuntimeError, match="did not complete"):
-            max_flooding_time_over_sources(disconnected, seed=0, max_steps=5,
-                                           backend="batched")
+            max_flooding_time_over_sources(disconnected, seed=0, max_steps=5)
 
 
 class TestNativeMode:

@@ -31,21 +31,22 @@ class TestRunPlan:
         with pytest.raises(ValueError):
             run_plan(plan, backend="batched")
 
-    def test_serial_backend_matches_flooding_trials(self):
+    def test_batched_backend_matches_flooding_trials(self):
         results = flooding_trials(make_meg(), trials=5, seed=21)
         ensemble = run_plan(SimulationPlan(model=make_meg(), trials=5, seed=21),
-                            backend="serial")
+                            backend="batched")
         assert [r.time for r in results] == list(ensemble.times)
         assert tuple(r.source for r in results) == ensemble.sources
 
     def test_factory_plan_runs_parallel(self):
         plan = SimulationPlan(model_factory=make_meg, trials=6, seed=1,
                               chunk_size=2)
-        serial = run_plan(plan, backend="serial")
+        serial = TrialEnsemble.from_results(
+            flooding_trials(make_meg(), trials=6, seed=1))
         fanned = run_plan(plan, backend="parallel", jobs=2)
         np.testing.assert_array_equal(serial.times, fanned.times)
 
-    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    @pytest.mark.parametrize("backend", ["batched", "parallel"])
     def test_record_flags(self, backend):
         plan = SimulationPlan(model=make_meg(), trials=3, seed=4,
                               record_history=False, record_informed=False)

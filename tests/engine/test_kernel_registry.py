@@ -110,15 +110,15 @@ class TestSubclassDispatch:
         assert_bit_identical(serial, engine)
 
     def test_overriding_the_dynamics_disables_native(self):
-        """A subclass with its own step keeps the exact replay query but
-        must not run the native kernel that replicates EdgeMEG.step."""
+        """A subclass with its own step must not run the native kernel
+        that replicates EdgeMEG.step: it gets the generic provider."""
 
         class FrozenEdgeMEG(EdgeMEG):
             def step(self):
                 self._t += 1  # edges never churn
 
         kernel = batched_dynamics_for(FrozenEdgeMEG(12, 0.3, 0.3))
-        assert type(kernel) is EdgeBatchedDynamics
+        assert type(kernel) is GenericBatchedDynamics
         assert not kernel.native_capable
 
     def test_overriding_snapshot_falls_back_to_generic(self):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.flooding import flooding_trials
-from repro.engine import SimulationPlan, run_plan
+from repro.engine import SimulationPlan, TrialEnsemble, run_plan
 from repro.engine.testing import assert_results_bit_identical as assert_bit_identical
 from repro.mobility import (
     MobilityMEG,
@@ -83,8 +83,8 @@ class TestMobilityReplayBitIdentical:
     def test_chunking_is_invisible(self):
         meg = MobilityMEG(RandomDirection(20, side=4.5, speed=1.0),
                           radius=2.0)
-        reference = run_plan(SimulationPlan(model=meg, trials=9, seed=11),
-                             backend="serial")
+        reference = TrialEnsemble.from_results(
+            flooding_trials(meg, trials=9, seed=11))
         for chunk_size in (1, 2, 4, 9, 50):
             plan = SimulationPlan(model=meg, trials=9, seed=11,
                                   chunk_size=chunk_size)

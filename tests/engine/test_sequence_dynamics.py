@@ -26,7 +26,7 @@ from repro.dynamics.sequence import (
     star_adjacency,
 )
 from repro.dynamics.snapshots import AdjacencySnapshot
-from repro.engine import SimulationPlan, run_plan
+from repro.engine import SimulationPlan, TrialEnsemble, run_plan
 from repro.engine.testing import assert_results_bit_identical as assert_bit_identical
 from repro.protocols import ExpiringFlooding, PushPullGossip, spreading_trials
 
@@ -66,8 +66,8 @@ class TestSequenceReplayBitIdentical:
 
     def test_chunking_is_invisible(self):
         adversary = moving_hub_star(10)
-        reference = run_plan(SimulationPlan(model=adversary, trials=9, seed=11),
-                             backend="serial")
+        reference = TrialEnsemble.from_results(
+            flooding_trials(adversary, trials=9, seed=11))
         for chunk_size in (1, 2, 4, 9, 50):
             plan = SimulationPlan(model=adversary, trials=9, seed=11,
                                   chunk_size=chunk_size)

@@ -17,7 +17,7 @@ import pytest
 from repro.edgemeg.independent import IndependentDynamicGraph
 from repro.edgemeg.meg import EdgeMEG
 from repro.edgemeg.sparse import SparseEdgeMEG
-from repro.engine import SimulationPlan, run_plan
+from repro.engine import SimulationPlan, TrialEnsemble, run_plan
 from repro.engine.testing import assert_results_bit_identical as assert_bit_identical
 from repro.geometric.meg import GeometricMEG
 from repro.mobility import MobilityMEG, RandomWaypointTorus
@@ -197,7 +197,9 @@ class TestPlanProtocolField:
     def test_run_plan_dispatches_protocol(self):
         plan = SimulationPlan(model=EdgeMEG(16, 0.3, 0.3), trials=3, seed=4,
                               protocol=ProbabilisticFlooding(0.5))
-        serial = run_plan(plan, backend="serial")
+        serial = TrialEnsemble.from_results(spreading_trials(
+            ProbabilisticFlooding(0.5), EdgeMEG(16, 0.3, 0.3), trials=3,
+            seed=4))
         batched = run_plan(plan, backend="batched")
         np.testing.assert_array_equal(serial.times, batched.times)
         assert serial.sources == batched.sources
