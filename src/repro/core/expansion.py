@@ -15,7 +15,11 @@ module offers three levels:
    graphs are balls), and greedy local descent.  This gives an *upper
    bound* on the worst expansion — i.e. a sound way to *refute*
    over-optimistic expansion claims and to trace the constants
-   ``alpha, beta, c`` of Theorems 3.2 and 4.1.
+   ``alpha, beta, c`` of Theorems 3.2 and 4.1.  The descent is
+   incremental: it holds every node's member-neighbour count
+   (:meth:`~repro.dynamics.base.GraphSnapshot.neighbor_counts`), built
+   once per descent, and a trial swap moves those counts along two
+   ``neighbors_of`` lists instead of re-querying ``N(I)``.
 3. :func:`trajectory_expansion` — the expansion of the sets actually
    visited by a flooding run, which is the quantity Lemma 2.4 consumes.
 """
@@ -167,37 +171,54 @@ def _bfs_ball(snapshot: GraphSnapshot, center: int, size: int) -> np.ndarray:
     return mask
 
 
-#: Cap on swap candidates per greedy sweep; each candidate costs one
-#: full ``N(I)`` query, so unbounded sweeps would be quadratic in |I|.
+#: Cap on swap candidates per greedy sweep; each candidate costs two
+#: ``neighbors_of`` calls plus ``O(n)`` mask work, so unbounded sweeps
+#: would be quadratic in ``|I|``.
 _GREEDY_CANDIDATES = 24
 
 
 def _greedy_descend(snapshot: GraphSnapshot, mask: np.ndarray, *,
-                    rng: np.random.Generator, sweeps: int = 2) -> np.ndarray:
-    """Local search: swap members/non-members to shrink ``|N(I)|``."""
+                    rng: np.random.Generator,
+                    sweeps: int = 2) -> tuple[np.ndarray, int]:
+    """Local search: swap members/non-members to shrink ``|N(I)|``.
+
+    Works from the member-neighbour counts ``c[x] = |{u in I : {u, x} in
+    E}|``, so that ``N(I) = {x not in I : c[x] > 0}``: a trial swap
+    ``u -> v`` moves the counts along ``neighbors_of(u)`` and
+    ``neighbors_of(v)`` and is undone the same way on rejection.
+    Returns the descended mask and its ``|N(I)|``.
+    """
     mask = mask.copy()
-    n = snapshot.num_nodes
-    current = neighborhood_size(snapshot, mask)
+    counts = snapshot.neighbor_counts(mask)
+    frontier = (counts > 0) & ~mask
+    current = int(np.count_nonzero(frontier))
     for _ in range(sweeps):
         improved = False
         members = rng.permutation(np.flatnonzero(mask))[:_GREEDY_CANDIDATES]
         for u in members:
-            boundary = np.flatnonzero(snapshot.neighborhood_mask(mask))
+            boundary = np.flatnonzero(frontier)
             if boundary.size == 0:
-                return mask
+                return mask, current
             v = int(boundary[rng.integers(boundary.size)])
+            left, joined = snapshot.neighbors_of(u), snapshot.neighbors_of(v)
             mask[u] = False
             mask[v] = True
-            cand = neighborhood_size(snapshot, mask)
+            counts[left] -= 1
+            counts[joined] += 1
+            trial = (counts > 0) & ~mask
+            cand = int(np.count_nonzero(trial))
             if cand < current:
                 current = cand
+                frontier = trial
                 improved = True
             else:
                 mask[v] = False
                 mask[u] = True
+                counts[joined] -= 1
+                counts[left] += 1
         if not improved:
             break
-    return mask
+    return mask, current
 
 
 def estimate_worst_expansion(
@@ -230,8 +251,10 @@ def estimate_worst_expansion(
         else:
             mask = _mask_from_nodes(rng.choice(n, size=size, replace=False), n)
         if greedy_sweeps > 0 and size < n:
-            mask = _greedy_descend(snapshot, mask, rng=rng, sweeps=greedy_sweeps)
-        value = neighborhood_size(snapshot, mask)
+            mask, value = _greedy_descend(snapshot, mask, rng=rng,
+                                          sweeps=greedy_sweeps)
+        else:
+            value = neighborhood_size(snapshot, mask)
         if value < best_val:
             best_val = float(value)
             best_mask = mask

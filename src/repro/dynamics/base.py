@@ -11,7 +11,9 @@ use the representation that makes its hot path fast:
 
 * :class:`GraphSnapshot` — a read-only view of ``G_t`` answering the
   one query flooding needs (`neighbors of a node set`) plus generic
-  inspection helpers used by tests and the expansion analyzer.
+  inspection helpers used by tests and the expansion analyzer
+  (``neighbors_of`` and ``neighbor_counts``, the per-node member
+  counts the worst-expansion search updates swap by swap).
 * :class:`EvolvingGraph` — the stateful process: ``reset`` samples
   ``G_0`` (from the stationary distribution for stationary MEGs),
   ``step`` advances ``t -> t+1``, ``snapshot`` exposes the current
@@ -102,6 +104,32 @@ class GraphSnapshot(abc.ABC):
         mask = np.zeros(self.num_nodes, dtype=bool)
         mask[node] = True
         return np.flatnonzero(self.neighborhood_mask(mask))
+
+    def neighbor_counts(self, members: np.ndarray) -> np.ndarray:
+        """Member-neighbour count of every node.
+
+        Parameters
+        ----------
+        members:
+            Boolean mask of length ``n`` selecting the set ``I``.
+
+        Returns
+        -------
+        numpy.ndarray
+            ``int64`` array of length ``n`` whose entry ``x`` is
+            ``|{u in I : {u, x} in E}|``, so ``N(I)`` is exactly the
+            non-members with a positive count.  It must agree with
+            :meth:`neighbors_of` edge for edge: the expansion search
+            builds the counts once, then updates them through
+            ``neighbors_of`` as nodes enter and leave ``I``.  The
+            default sums :meth:`neighbors_of` over the members; concrete
+            snapshots override it with one vectorised query.
+        """
+        members = np.asarray(members, dtype=bool)
+        counts = np.zeros(self.num_nodes, dtype=np.int64)
+        for u in np.flatnonzero(members):
+            counts[self.neighbors_of(u)] += 1
+        return counts
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` is present."""

@@ -80,6 +80,13 @@ class AdjacencySnapshot(GraphSnapshot):
         out &= ~members
         return out
 
+    def neighbor_counts(self, members: np.ndarray) -> np.ndarray:
+        members = np.asarray(members, dtype=bool)
+        require(members.shape == (self.num_nodes,), "members mask has wrong length")
+        # Column sum over the member columns, read as member rows
+        # (symmetry makes them interchangeable).
+        return self._adj[members].sum(axis=0, dtype=np.int64)
+
     def degrees(self) -> np.ndarray:
         return self._adj.sum(axis=1, dtype=np.int64)
 
@@ -150,26 +157,29 @@ class EdgeListSnapshot(GraphSnapshot):
         """
         return self._indptr, self._indices
 
-    def neighborhood_mask(self, members: np.ndarray) -> np.ndarray:
+    def _member_targets(self, members: np.ndarray) -> np.ndarray:
+        """Concatenated neighbor lists of the member nodes (with repeats)."""
         members = np.asarray(members, dtype=bool)
         require(members.shape == (self._n,), "members mask has wrong length")
-        out = np.zeros(self._n, dtype=bool)
         nodes = np.flatnonzero(members)
         if nodes.size == 0 or self._m == 0:
-            return out
-        # Gather all neighbor segments of the member nodes.
+            return self._indices[:0]
+        # Vectorised multi-segment gather.
         starts = self._indptr[nodes]
-        stops = self._indptr[nodes + 1]
-        lengths = stops - starts
+        lengths = self._indptr[nodes + 1] - starts
         total = int(lengths.sum())
-        if total:
-            # Vectorised multi-segment gather.
-            seg_offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(lengths)[:-1])),
-                                    lengths)
-            flat = np.arange(total) + seg_offsets
-            out[self._indices[flat]] = True
-        out &= ~members
+        seg_offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(lengths)[:-1])),
+                                lengths)
+        return self._indices[np.arange(total) + seg_offsets]
+
+    def neighborhood_mask(self, members: np.ndarray) -> np.ndarray:
+        out = np.zeros(self._n, dtype=bool)
+        out[self._member_targets(members)] = True
+        out &= ~np.asarray(members, dtype=bool)
         return out
+
+    def neighbor_counts(self, members: np.ndarray) -> np.ndarray:
+        return np.bincount(self._member_targets(members), minlength=self._n)
 
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)

@@ -12,6 +12,8 @@ from repro.geometric.meg import GeometricMEG, GeometricSnapshot
 from repro.geometric.neighbors import (
     batched_within_radius,
     brute_force_within_radius,
+    member_neighbor_counts,
+    radius_bound2,
     radius_degrees,
     radius_edges,
     within_radius_of_members,
@@ -30,7 +32,9 @@ __all__ = [
     "is_geometric_connected",
     "CellStatistics",
     "cell_count",
+    "radius_bound2",
     "within_radius_of_members",
+    "member_neighbor_counts",
     "batched_within_radius",
     "radius_edges",
     "radius_degrees",

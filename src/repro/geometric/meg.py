@@ -23,6 +23,8 @@ from repro.dynamics.base import EvolvingGraph, GraphSnapshot
 from repro.geometric.cells import CellPartition
 from repro.geometric.lattice import Lattice
 from repro.geometric.neighbors import (
+    member_neighbor_counts,
+    radius_bound2,
     radius_degrees,
     radius_edges,
     within_radius_of_members,
@@ -38,7 +40,8 @@ class GeometricSnapshot(GraphSnapshot):
     """Snapshot of a geometric graph: point set + transmission radius.
 
     The ``N(I)`` query runs a nearest-member k-d tree query instead of
-    materialising edges; :meth:`degrees` and :meth:`edge_count` build a
+    materialising edges, and :meth:`neighbor_counts` a ball-count query
+    on the same tree; :meth:`degrees` and :meth:`edge_count` build a
     full tree on demand (diagnostics, not the flooding hot path).
     """
 
@@ -78,6 +81,10 @@ class GeometricSnapshot(GraphSnapshot):
         return within_radius_of_members(self._positions, members, self._radius,
                                         boxsize=self._boxsize)
 
+    def neighbor_counts(self, members: np.ndarray) -> np.ndarray:
+        return member_neighbor_counts(self._positions, members, self._radius,
+                                      boxsize=self._boxsize)
+
     def degrees(self) -> np.ndarray:
         return radius_degrees(self._positions, self._radius, boxsize=self._boxsize)
 
@@ -93,7 +100,7 @@ class GeometricSnapshot(GraphSnapshot):
     def neighbors_of(self, node: int) -> np.ndarray:
         delta = self._delta_to(node)
         dist2 = np.einsum("ij,ij->i", delta, delta)
-        mask = dist2 <= self._radius * self._radius * (1 + 1e-12)
+        mask = dist2 <= radius_bound2(self._radius)
         mask[node] = False
         return np.flatnonzero(mask)
 
@@ -103,7 +110,7 @@ class GeometricSnapshot(GraphSnapshot):
         delta = self._positions[u] - self._positions[v]
         if self._boxsize is not None:
             delta = delta - self._boxsize * np.round(delta / self._boxsize)
-        return bool(delta @ delta <= self._radius * self._radius * (1 + 1e-12))
+        return bool(delta @ delta <= radius_bound2(self._radius))
 
     def edges(self) -> np.ndarray:
         """All edges as an ``(m, 2)`` array with ``u < v``."""

@@ -6,6 +6,15 @@ matrix would cost ``O(n^2)`` memory; instead we exploit the spatial
 structure with a k-d tree over the *member* points and a nearest-member
 query from every non-member — ``O(n log |I|)`` per step, and the tree
 is built over the (usually small early / irrelevant late) informed set.
+:func:`member_neighbor_counts` runs the same tree as a ball-count query,
+giving every point its number of member neighbours — the exact integer
+state the worst-expansion search updates swap by swap.
+
+Every query here, and every per-node distance scan of the geometric
+snapshots, applies one inclusive edge rule: ``{u, v}`` is an edge iff
+``d(u, v)^2 <= radius_bound2(R)``.  k-d trees compare squared distances
+against the square of their query radius, so they are queried at the
+radius whose square is that bound.
 
 ``scipy.spatial.cKDTree`` is the engine; this module wraps the exact
 query patterns the library needs so the snapshot code stays free of
@@ -23,12 +32,33 @@ from scipy.spatial import cKDTree
 from repro.util.validation import require, require_positive
 
 __all__ = [
+    "radius_bound2",
     "within_radius_of_members",
+    "member_neighbor_counts",
     "batched_within_radius",
     "radius_edges",
     "radius_degrees",
     "brute_force_within_radius",
 ]
+
+
+#: Relative slack of the inclusive edge rule ``d(u, v) <= R``: it absorbs
+#: round-off in the distance arithmetic, so a pair at exactly ``R``
+#: connects however its distance was computed.
+_RADIUS_SLACK = 1e-12
+
+
+def _query_radius(radius: float) -> float:
+    """The k-d query radius of the edge rule; its square is
+    :func:`radius_bound2`."""
+    return radius * (1 + _RADIUS_SLACK)
+
+
+def radius_bound2(radius: float) -> float:
+    """Squared-distance bound of the inclusive edge rule: two points are
+    adjacent iff ``d^2 <= radius_bound2(R)``."""
+    query = _query_radius(radius)
+    return query * query
 
 
 def _prepare(positions: np.ndarray, boxsize: float | None) -> np.ndarray:
@@ -79,9 +109,43 @@ def within_radius_of_members(
     positions = _prepare(positions, boxsize)
     tree = cKDTree(positions[member_idx], boxsize=boxsize)
     # Nearest member distance for each outside point; eps=0 exact.
-    dist, _ = tree.query(positions[other_idx], k=1, distance_upper_bound=radius * (1 + 1e-12))
-    out[other_idx[dist <= radius * (1 + 1e-12)]] = True
+    reach = _query_radius(radius)
+    dist, _ = tree.query(positions[other_idx], k=1, distance_upper_bound=reach)
+    out[other_idx[dist <= reach]] = True
     return out
+
+
+def member_neighbor_counts(
+    positions: np.ndarray,
+    members: np.ndarray,
+    radius: float,
+    *,
+    boxsize: float | None = None,
+) -> np.ndarray:
+    """Per point, the number of *other* member points within *radius*.
+
+    One k-d tree over the members answers a ball-count query from every
+    point; a member's count excludes itself.  Arguments as in
+    :func:`within_radius_of_members`; returns an ``int64`` array of
+    length ``n`` whose positive non-member entries are exactly that
+    function's mask.
+    """
+    positions = np.asarray(positions, dtype=float)
+    members = np.asarray(members, dtype=bool)
+    require(positions.ndim == 2, "positions must be (n, d)")
+    require(members.shape == (positions.shape[0],), "members mask has wrong length")
+    radius = require_positive(radius, "radius")
+
+    counts = np.zeros(positions.shape[0], dtype=np.int64)
+    member_idx = np.flatnonzero(members)
+    if member_idx.size == 0:
+        return counts
+    positions = _prepare(positions, boxsize)
+    tree = cKDTree(positions[member_idx], boxsize=boxsize)
+    counts[:] = tree.query_ball_point(positions, _query_radius(radius),
+                                      return_length=True)
+    counts[member_idx] -= 1
+    return counts
 
 
 #: Fall back to per-trial k-d queries when the cell grid would need more
@@ -153,7 +217,7 @@ def batched_within_radius(
       cell-against-cell (a ragged cross-join driven from the frontier
       member cells, so work scales with the frontier shell, not with
       the point count) and checked against the same
-      ``<= R (1 + 1e-12)`` predicate as the k-d path.
+      :func:`radius_bound2` predicate as the k-d path.
 
     Work per call is ``O(B n + pairs-in-neighboring-cells)`` with small
     constants — no trees, no per-trial Python loop.  Degenerate radii
@@ -228,7 +292,7 @@ def batched_within_radius(
     # *maybe* offset only the nearest.  With c <= R/3 the guaranteed box
     # spans the whole 3x3 neighborhood and beyond, so it settles almost
     # every point of a spread-out informed set with no distance work.
-    bound2 = (radius * (1 + 1e-12)) ** 2
+    bound2 = radius_bound2(radius)
     cell2 = cell * cell
     # Offsets beyond grid-1 cells reach no new cell (out of range when
     # Euclidean, already wrapped onto covered cells when toroidal), so
@@ -360,7 +424,7 @@ def radius_edges(positions: np.ndarray, radius: float, *,
     positions = _prepare(np.asarray(positions, dtype=float), boxsize)
     radius = require_positive(radius, "radius")
     tree = cKDTree(positions, boxsize=boxsize)
-    pairs = tree.query_pairs(radius * (1 + 1e-12), output_type="ndarray")
+    pairs = tree.query_pairs(_query_radius(radius), output_type="ndarray")
     if pairs.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     return np.sort(pairs.astype(np.int64), axis=1)
@@ -372,7 +436,7 @@ def radius_degrees(positions: np.ndarray, radius: float, *,
     positions = _prepare(np.asarray(positions, dtype=float), boxsize)
     radius = require_positive(radius, "radius")
     tree = cKDTree(positions, boxsize=boxsize)
-    counts = tree.query_ball_point(positions, radius * (1 + 1e-12), return_length=True)
+    counts = tree.query_ball_point(positions, _query_radius(radius), return_length=True)
     return np.asarray(counts, dtype=np.int64) - 1  # exclude self
 
 
@@ -391,10 +455,11 @@ def brute_force_within_radius(
     out = np.zeros(positions.shape[0], dtype=bool)
     if member_pos.size == 0:
         return out
+    bound2 = radius_bound2(radius)
     for idx in np.flatnonzero(~members):
         delta = member_pos - positions[idx]
         if boxsize is not None:
             delta -= boxsize * np.round(delta / boxsize)
-        if np.any(np.einsum("ij,ij->i", delta, delta) <= radius * radius * (1 + 1e-12)):
+        if np.any(np.einsum("ij,ij->i", delta, delta) <= bound2):
             out[idx] = True
     return out

@@ -10,8 +10,9 @@ Because the sphere is not the square ``[0, side]^2``, this model does
 not implement :class:`~repro.mobility.base.MobilityModel`; instead it
 pairs with its own snapshot type, :class:`SphereSnapshot`, which
 measures adjacency by *chord* distance (equivalently a great-circle
-angle threshold) with a 3-D k-d tree — the same ``N(I)`` frontier query
-pattern as the planar models.
+angle threshold) through the radius queries of
+:mod:`repro.geometric.neighbors` on 3-D coordinates — the same ``N(I)``
+frontier query, and the same edge rule, as the planar models.
 
 Scaling convention: the sphere radius is chosen so the surface area is
 ``n`` (unit density, matching the paper's square of area ``n``), i.e.
@@ -23,9 +24,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.dynamics.base import EvolvingGraph, GraphSnapshot
+from repro.geometric.neighbors import (
+    member_neighbor_counts,
+    radius_bound2,
+    radius_degrees,
+    radius_edges,
+    within_radius_of_members,
+)
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import require, require_positive, require_positive_int
 
@@ -91,36 +98,22 @@ class SphereSnapshot(GraphSnapshot):
         return self._points * self._rho
 
     def neighborhood_mask(self, members: np.ndarray) -> np.ndarray:
-        members = np.asarray(members, dtype=bool)
-        require(members.shape == (self.num_nodes,), "members mask has wrong length")
-        out = np.zeros(self.num_nodes, dtype=bool)
-        member_idx = np.flatnonzero(members)
-        other_idx = np.flatnonzero(~members)
-        if member_idx.size == 0 or other_idx.size == 0:
-            return out
-        coords = self.positions
-        tree = cKDTree(coords[member_idx])
-        dist, _ = tree.query(coords[other_idx], k=1,
-                             distance_upper_bound=self._radius * (1 + 1e-12))
-        out[other_idx[dist <= self._radius * (1 + 1e-12)]] = True
-        return out
+        return within_radius_of_members(self.positions, members, self._radius)
+
+    def neighbor_counts(self, members: np.ndarray) -> np.ndarray:
+        return member_neighbor_counts(self.positions, members, self._radius)
 
     def degrees(self) -> np.ndarray:
-        coords = self.positions
-        tree = cKDTree(coords)
-        counts = tree.query_ball_point(coords, self._radius * (1 + 1e-12),
-                                       return_length=True)
-        return np.asarray(counts, dtype=np.int64) - 1
+        return radius_degrees(self.positions, self._radius)
 
     def edge_count(self) -> int:
-        coords = self.positions
-        return len(cKDTree(coords).query_pairs(self._radius * (1 + 1e-12)))
+        return radius_edges(self.positions, self._radius).shape[0]
 
     def neighbors_of(self, node: int) -> np.ndarray:
         coords = self.positions
         delta = coords - coords[node]
         dist2 = np.einsum("ij,ij->i", delta, delta)
-        mask = dist2 <= self._radius**2 * (1 + 1e-12)
+        mask = dist2 <= radius_bound2(self._radius)
         mask[node] = False
         return np.flatnonzero(mask)
 

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.expansion import (
+    _GREEDY_CANDIDATES,
+    _bfs_ball,
+    _mask_from_nodes,
     estimate_worst_expansion,
     expansion_of_set,
     expansion_profile,
@@ -23,6 +26,8 @@ from repro.dynamics.sequence import (
     star_adjacency,
 )
 from repro.dynamics.snapshots import AdjacencySnapshot
+from repro.geometric.meg import GeometricMEG
+from repro.util.rng import as_generator
 
 
 def snap(adj) -> AdjacencySnapshot:
@@ -144,6 +149,94 @@ class TestEstimator:
         s = snap(complete_adjacency(6))
         est = estimate_worst_expansion(s, 6, trials=2, seed=0)
         assert est.neighborhood_size == 0
+
+
+def oracle_descend(snapshot, mask, *, rng, sweeps):
+    """Brute-force greedy descent: re-query ``N(I)`` after every swap.
+
+    The reference the incremental member-neighbour counts must follow
+    draw for draw: same candidate permutation, same boundary draw per
+    swap, same acceptance rule.
+    """
+    mask = mask.copy()
+    current = neighborhood_size(snapshot, mask)
+    for _ in range(sweeps):
+        improved = False
+        members = rng.permutation(np.flatnonzero(mask))[:_GREEDY_CANDIDATES]
+        for u in members:
+            boundary = np.flatnonzero(snapshot.neighborhood_mask(mask))
+            if boundary.size == 0:
+                return mask
+            v = int(boundary[rng.integers(boundary.size)])
+            mask[u] = False
+            mask[v] = True
+            cand = neighborhood_size(snapshot, mask)
+            if cand < current:
+                current = cand
+                improved = True
+            else:
+                mask[v] = False
+                mask[u] = True
+        if not improved:
+            break
+    return mask
+
+
+def oracle_estimate(snapshot, size, *, trials, seed, greedy_sweeps=1):
+    """:func:`estimate_worst_expansion` over :func:`oracle_descend`."""
+    n = snapshot.num_nodes
+    rng = as_generator(seed)
+    best_val = np.inf
+    best_mask = _mask_from_nodes(range(size), n)
+    for trial in range(trials):
+        if trial % 2 == 0:
+            candidate = _bfs_ball(snapshot, int(rng.integers(n)), size)
+        else:
+            candidate = _mask_from_nodes(rng.choice(n, size=size, replace=False), n)
+        if greedy_sweeps > 0 and size < n:
+            candidate = oracle_descend(snapshot, candidate, rng=rng,
+                                       sweeps=greedy_sweeps)
+        value = neighborhood_size(snapshot, candidate)
+        if value < best_val:
+            best_val = float(value)
+            best_mask = candidate
+            if best_val == 0:
+                break
+    return best_val, best_mask
+
+
+class TestDescentMatchesOracle:
+    """The incremental descent returns exactly the brute-force witness."""
+
+    @staticmethod
+    def _assert_same(snapshot, size, seed, sweeps):
+        est = estimate_worst_expansion(snapshot, size, trials=6, seed=seed,
+                                       greedy_sweeps=sweeps)
+        value, witness = oracle_estimate(snapshot, size, trials=6, seed=seed,
+                                         greedy_sweeps=sweeps)
+        assert est.neighborhood_size == value
+        np.testing.assert_array_equal(est.witness, witness)
+
+    @pytest.mark.parametrize("radius", [2.5, 5.0])
+    @pytest.mark.parametrize("size", [4, 32, 128])
+    def test_geometric(self, radius, size):
+        meg = GeometricMEG(n=256, move_radius=1.0, radius=radius)
+        meg.reset(seed=int(radius * 10) + size)
+        snapshot = meg.snapshot()
+        for seed in range(3):
+            self._assert_same(snapshot, size, seed, sweeps=1 + seed % 2)
+
+    @pytest.mark.parametrize("p", [0.05, 0.2])
+    @pytest.mark.parametrize("size", [1, 5, 30])
+    def test_random_adjacency(self, p, size):
+        rng = np.random.default_rng(size)
+        n = 60
+        iu = np.triu_indices(n, 1)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[iu] = rng.random(len(iu[0])) < p
+        snapshot = snap(adj | adj.T)
+        for seed in range(4):
+            self._assert_same(snapshot, size, seed, sweeps=1 + seed % 2)
 
 
 class TestTrajectoryExpansion:

@@ -9,13 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometric.meg import GeometricSnapshot
 from repro.geometric.neighbors import (
     batched_within_radius,
     brute_force_within_radius,
+    member_neighbor_counts,
+    radius_bound2,
     radius_degrees,
     radius_edges,
     within_radius_of_members,
 )
+from repro.mobility.sphere import SphereSnapshot
 
 
 class TestWithinRadius:
@@ -233,3 +237,65 @@ class TestBatchedWithinRadius:
         members = np.array([[True, False, False]])
         out = batched_within_radius(positions, members, 2.5)
         np.testing.assert_array_equal(out, [[False, True, True]])
+
+
+class TestOneEdgeRule:
+    """Every query path applies the same inclusive bound, including on
+    the slack band just past ``R``: a pair at ``d = R (1 + 0.75e-12)``
+    lies beyond ``R^2 (1 + 1e-12)`` but within ``(R (1 + 1e-12))^2``."""
+
+    RADIUS = 3.0
+    D = RADIUS * (1 + 0.75e-12)
+
+    def _assert_in_band(self, positions, boxsize=None):
+        delta = positions[1] - positions[0]
+        if boxsize is not None:
+            delta -= boxsize * np.round(delta / boxsize)
+        d2 = float(delta @ delta)
+        assert self.RADIUS ** 2 * (1 + 1e-12) < d2 <= radius_bound2(self.RADIUS)
+
+    def _assert_all_paths_connect(self, snap, positions, boxsize=None):
+        first = np.array([True, False])
+        # Snapshot queries.
+        assert snap.neighborhood_mask(first).tolist() == [False, True]
+        assert snap.neighborhood_mask(~first).tolist() == [True, False]
+        assert snap.neighbors_of(0).tolist() == [1]
+        assert snap.neighbors_of(1).tolist() == [0]
+        assert snap.neighbor_counts(first).tolist() == [0, 1]
+        assert snap.degrees().tolist() == [1, 1]
+        assert snap.edge_count() == 1
+        assert snap.has_edge(0, 1) and snap.has_edge(1, 0)
+        # Module-level queries.
+        kw = {"boxsize": boxsize}
+        assert within_radius_of_members(positions, first, self.RADIUS, **kw)[1]
+        assert brute_force_within_radius(positions, first, self.RADIUS, **kw)[1]
+        assert member_neighbor_counts(positions, first, self.RADIUS,
+                                      **kw).tolist() == [0, 1]
+        assert radius_edges(positions, self.RADIUS, **kw).tolist() == [[0, 1]]
+        assert radius_degrees(positions, self.RADIUS, **kw).tolist() == [1, 1]
+
+    def test_planar(self):
+        positions = np.array([[1.0, 2.0], [1.0 + self.D, 2.0]])
+        self._assert_in_band(positions)
+        snap = GeometricSnapshot(positions, self.RADIUS)
+        self._assert_all_paths_connect(snap, positions)
+        assert batched_within_radius(positions[None], np.array([[True, False]]),
+                                     self.RADIUS)[0, 1]
+
+    def test_toroidal(self):
+        box = 10.0
+        positions = np.array([[0.5, 4.0], [box + 0.5 - self.D, 4.0]])
+        self._assert_in_band(positions, box)
+        snap = GeometricSnapshot(positions, self.RADIUS, boxsize=box)
+        self._assert_all_paths_connect(snap, positions, box)
+        assert batched_within_radius(positions[None], np.array([[True, False]]),
+                                     self.RADIUS, boxsize=box)[0, 1]
+
+    def test_sphere(self):
+        rho = 4.0
+        angle = 2 * math.asin(self.D / (2 * rho))
+        unit = np.array([[1.0, 0.0, 0.0], [math.cos(angle), math.sin(angle), 0.0]])
+        snap = SphereSnapshot(unit, rho, self.RADIUS)
+        positions = snap.positions
+        self._assert_in_band(positions)
+        self._assert_all_paths_connect(snap, positions)
