@@ -8,9 +8,10 @@ wrappers thin:
 * :func:`run_in_pytest` — time one registered case through the
   ``benchmark`` fixture and validate its result.
 * :func:`run_showdown` — measure a group of cases with the harness
-  timer, render the classic backend-comparison table, and report any
-  speedup-floor violations; the acceptance tests print the table and
-  assert the failure list is empty.
+  timer, their rounds interleaved, render the classic
+  backend-comparison table, and report any speedup-floor violations;
+  the acceptance tests print the table and assert the failure list is
+  empty.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 from repro.analysis.tables import render_table
 from repro.bench.case import get_case
-from repro.bench.timer import MeasureConfig, measure_case
+from repro.bench.timer import MeasureConfig, measure_cases
 
 __all__ = ["run_in_pytest", "run_showdown", "ShowdownResult"]
 
@@ -57,12 +58,15 @@ class ShowdownResult:
 def run_showdown(names: Sequence[str],
                  config: MeasureConfig | None = None) -> ShowdownResult:
     """Measure *names* with the harness timer and compare against each
-    case's declared serial reference."""
+    case's declared serial reference.
+
+    The cases' rounds are interleaved (:func:`measure_cases`), so a
+    case and its reference are timed across the same stretch of the
+    host's speed rather than one after the other.
+    """
     cases = [get_case(name) for name in names]
-    best: dict[str, float] = {}
-    for case in cases:
-        measurement, _ = measure_case(case, config)
-        best[case.name] = measurement.best
+    best = {name: measurement.best
+            for name, (measurement, _) in measure_cases(cases, config).items()}
 
     rows = []
     speedups: dict[str, float] = {}

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.bench.case import BenchCase
 from repro.util.timing import Timer
 from repro.util.validation import require
 
-__all__ = ["Measurement", "MeasureConfig", "measure_case"]
+__all__ = ["Measurement", "MeasureConfig", "measure_case", "measure_cases"]
 
 
 @dataclass(frozen=True)
@@ -88,22 +88,54 @@ def measure_case(case: BenchCase,
     case's ``check`` runs on every round, so an invalid result aborts
     the measurement instead of polluting the artifact.
     """
+    return measure_cases([case], config)[case.name]
+
+
+def _spread(rounds: int, passes: int) -> set[int]:
+    """*rounds* pass indices spread evenly over ``0 .. passes - 1``,
+    first and last included (just ``{0}`` for one round)."""
+    if rounds == 1:
+        return {0}
+    return {i * (passes - 1) // (rounds - 1) for i in range(rounds)}
+
+
+def measure_cases(cases: Sequence[BenchCase],
+                  config: MeasureConfig | None = None,
+                  ) -> dict[str, tuple[Measurement, Any]]:
+    """Measure several cases with their rounds interleaved.
+
+    Every case runs one round first, which calibrates the cases without
+    a fixed round count.  The rest run in passes: pass ``k`` times each
+    case whose rounds, spread evenly over the passes, include ``k``.
+    A slow drift of the host's speed then lands on every case alike,
+    not on whichever case happened to run last, so same-run ratios
+    between the cases hold steady.  Each case keeps its own round
+    count, so a single case is timed exactly as on its own.
+    """
     config = config or MeasureConfig()
-    workload = case.setup()
-    times: list[float] = []
+    workloads = {case.name: case.setup() for case in cases}
+    times: dict[str, list[float]] = {case.name: [] for case in cases}
+    results: dict[str, Any] = {}
 
-    with Timer() as timer:
-        result = workload()
-    times.append(timer.elapsed)
-    case.check_result(result)
-
-    total = case.rounds if case.rounds is not None \
-        else config.calibrated_rounds(times[0])
-    for _ in range(total - 1):
-        if case.fresh_state:
-            workload = case.setup()
+    def run_round(case: BenchCase) -> None:
+        if case.fresh_state and times[case.name]:
+            workloads[case.name] = case.setup()
         with Timer() as timer:
-            result = workload()
-        times.append(timer.elapsed)
+            result = workloads[case.name]()
+        times[case.name].append(timer.elapsed)
         case.check_result(result)
-    return Measurement(tuple(times)), result
+        results[case.name] = result
+
+    for case in cases:
+        run_round(case)
+    totals = {case.name: case.rounds if case.rounds is not None
+              else config.calibrated_rounds(times[case.name][0])
+              for case in cases}
+    passes = max(totals.values())
+    schedule = {name: _spread(total, passes) for name, total in totals.items()}
+    for k in range(1, passes):
+        for case in cases:
+            if k in schedule[case.name]:
+                run_round(case)
+    return {case.name: (Measurement(tuple(times[case.name])),
+                        results[case.name]) for case in cases}

@@ -25,6 +25,11 @@ Notes on semantics
   returned with ``completed = False`` and ``time = max_steps`` — callers
   decide how to treat truncation (the experiments treat it as a failure
   of the w.h.p. event and count it separately).
+* On a static graph (:attr:`~repro.dynamics.base.EvolvingGraph.is_static`)
+  a round that informs no one is a fixpoint: ``G_t`` and ``I_t`` never
+  change again, so ``N(I_t)`` stays empty.  :func:`flood` stops
+  querying it and spends the rest of the budget stepping the graph and
+  repeating the count, so the result is the one the full loop returns.
 """
 
 from __future__ import annotations
@@ -163,6 +168,10 @@ def flood(
         once per step *before* the update, e.g. to measure the expansion
         of the visited sets.
 
+    On a static graph the first round that informs no one ends the
+    neighbourhood queries: the remaining rounds only step the graph
+    and repeat the count (see the module notes).
+
     Returns
     -------
     FloodingResult
@@ -178,6 +187,7 @@ def flood(
     informed[list(sources)] = True
     history = [len(sources)]
 
+    static = graph.is_static
     t = 0
     while history[-1] < n and t < budget:
         snap = graph.snapshot()
@@ -191,6 +201,17 @@ def flood(
         graph.step()
         t += 1
         history.append(count)
+        if static and count == history[-2]:
+            break
+
+    # Fixpoint: on a static graph a round that informed no one repeats
+    # forever, so the rest of the budget only steps the clock.
+    while history[-1] < n and t < budget:
+        if observer is not None:
+            observer(t, graph.snapshot(), informed)
+        graph.step()
+        t += 1
+        history.append(history[-1])
 
     return FloodingResult(
         source=sources,

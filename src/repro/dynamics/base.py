@@ -17,7 +17,7 @@ use the representation that makes its hot path fast:
 * :class:`EvolvingGraph` — the stateful process: ``reset`` samples
   ``G_0`` (from the stationary distribution for stationary MEGs),
   ``step`` advances ``t -> t+1``, ``snapshot`` exposes the current
-  graph.
+  graph, and ``is_static`` says whether ``step`` can change it.
 
 All implementations must be deterministic given the generator passed to
 ``reset`` (which is the basis for reproducible experiments).
@@ -191,6 +191,16 @@ class EvolvingGraph(abc.ABC):
     @abc.abstractmethod
     def time(self) -> int:
         """Current time index ``t`` (0 after ``reset``)."""
+
+    @property
+    def is_static(self) -> bool:
+        """Whether ``G_t`` never changes: every ``step`` leaves the
+        snapshot's edge set as it is.
+
+        ``False`` unless a model knows better; :func:`repro.core.flooding.flood`
+        reads it to stop querying a flood that has stopped growing.
+        """
+        return False
 
     def snapshots(self, count: int) -> Iterator[GraphSnapshot]:
         """Yield *count* consecutive snapshots, stepping in between.

@@ -93,6 +93,10 @@ class StaticEvolvingGraph(SequenceEvolvingGraph):
     def __init__(self, snapshot: GraphSnapshot) -> None:
         super().__init__([snapshot], cycle=True)
 
+    @property
+    def is_static(self) -> bool:
+        return True
+
 
 class GeneratedEvolvingGraph(EvolvingGraph):
     """Evolving graph produced by a user factory ``t -> snapshot``.

@@ -11,6 +11,10 @@ fall as ``r`` grows.
 
 This is an ablation on the paper's own simulator, not a reproduction of
 [11]'s analysis (documented non-goal in DESIGN.md).
+
+The ``r = 0`` row is a static graph, so :func:`~repro.core.flooding.flood`
+stops querying ``N(I_t)`` once the flood stalls in the source's component
+and only steps out the budget; the table is the one the full loop gives.
 """
 
 from __future__ import annotations

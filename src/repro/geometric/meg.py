@@ -215,6 +215,11 @@ class GeometricMEG(EvolvingGraph):
     def time(self) -> int:
         return self._t
 
+    @property
+    def is_static(self) -> bool:
+        """True when ``r < eps``: no walker can leave its lattice point."""
+        return self.lattice.dmax == 0
+
     def cell_partition(self) -> CellPartition:
         """The Theorem 3.2 proof partition for this instance."""
         return CellPartition(self.side, self._radius)

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.case import BenchCase
-from repro.bench.timer import Measurement, MeasureConfig, measure_case
+from repro.bench.timer import (
+    Measurement,
+    MeasureConfig,
+    _spread,
+    measure_case,
+    measure_cases,
+)
 
 
 def make_case(setup, **kwargs) -> BenchCase:
@@ -99,3 +105,36 @@ def test_setup_cost_is_not_measured():
     measurement, _ = measure_case(
         make_case(setup, rounds=2), MeasureConfig())
     assert measurement.median < 0.05
+
+
+def test_spread_picks_distinct_passes_first_and_last():
+    for passes in range(1, 30):
+        for rounds in range(1, passes + 1):
+            picked = _spread(rounds, passes)
+            assert len(picked) == rounds
+            assert 0 in picked and max(picked) == (passes - 1 if rounds > 1 else 0)
+
+
+def test_measure_cases_interleaves_rounds():
+    log = []
+
+    def tagged(tag, **kwargs):
+        def setup():
+            return lambda: log.append(tag)
+        return BenchCase(name=f"demo/{tag}", suite="demo", scale="",
+                         setup=setup, **kwargs)
+
+    measured = measure_cases([tagged("ref", rounds=2), tagged("fast", rounds=5)])
+    assert [m.rounds for m, _ in measured.values()] == [2, 5]
+    # The reference's two rounds bracket the five: first and last pass.
+    assert log == ["ref", "fast", "fast", "fast", "fast", "ref", "fast"]
+
+
+def test_measure_cases_calibrates_each_case_from_its_first_round():
+    config = MeasureConfig(target_seconds=0.01, min_rounds=2, max_rounds=6)
+    measured = measure_cases(
+        [make_case(lambda: lambda: None),
+         BenchCase(name="demo/fixed", suite="demo", scale="",
+                   setup=lambda: lambda: None, rounds=3)], config)
+    assert measured["demo/case"][0].rounds == 6
+    assert measured["demo/fixed"][0].rounds == 3

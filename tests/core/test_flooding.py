@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.flooding import (
+    FloodingResult,
+    _resolve_sources,
     flood,
     flooding_time,
     flooding_trials,
@@ -22,6 +26,7 @@ from repro.dynamics.sequence import (
 )
 from repro.dynamics.snapshots import AdjacencySnapshot
 from repro.edgemeg.meg import EdgeMEG
+from repro.geometric.meg import GeometricMEG
 
 
 def static(adj) -> StaticEvolvingGraph:
@@ -193,3 +198,155 @@ class TestMaxOverSources:
         worst = max_flooding_time_over_sources(meg, seed=4)
         some = max_flooding_time_over_sources(meg, seed=4, sources=[0])
         assert worst >= some
+
+
+def oracle_flood(graph, source=0, *, seed=None, max_steps=None, reset=True,
+                 observer=None):
+    """Brute-force flooding: query ``N(I_t)`` every round until the
+    budget runs out, static graph or not.
+
+    The reference :func:`flood` must reproduce field for field, with
+    the same graph clock and RNG state after return and the same
+    observer calls.
+    """
+    n = graph.num_nodes
+    sources = _resolve_sources(source, n)
+    budget = resolve_max_steps(n, max_steps)
+    if reset:
+        graph.reset(seed)
+    informed = np.zeros(n, dtype=bool)
+    informed[list(sources)] = True
+    history = [len(sources)]
+    t = 0
+    while history[-1] < n and t < budget:
+        snap = graph.snapshot()
+        if observer is not None:
+            observer(t, snap, informed)
+        fresh = snap.neighborhood_mask(informed)
+        count = history[-1]
+        if fresh.any():
+            informed |= fresh
+            count = int(informed.sum())
+        graph.step()
+        t += 1
+        history.append(count)
+    return FloodingResult(source=sources, time=t,
+                          completed=history[-1] == n,
+                          informed_history=np.asarray(history, dtype=np.int64),
+                          informed=informed)
+
+
+def _random_adjacency(n, p, rng):
+    iu = np.triu_indices(n, 1)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[iu] = rng.random(len(iu[0])) < p
+    return adj | adj.T
+
+
+def _flood_logged(run, graph, sources, **kwargs):
+    calls = []
+    res = run(graph, sources,
+              observer=lambda t, snap, informed: calls.append((t, informed.copy())),
+              **kwargs)
+    return res, calls
+
+
+def _assert_same_flood(make_graph, sources, *, pre_steps, **kwargs):
+    """Flood two identical graphs with :func:`flood` and the oracle."""
+    graphs = []
+    for _ in range(2):
+        graph = make_graph()
+        for _ in range(pre_steps):
+            graph.step()
+        graphs.append(graph)
+    for observe in (False, True):
+        if observe:
+            got, got_calls = _flood_logged(flood, graphs[0], sources, **kwargs)
+            want, want_calls = _flood_logged(oracle_flood, graphs[1], sources,
+                                             **kwargs)
+            assert [t for t, _ in got_calls] == [t for t, _ in want_calls]
+            for (_, a), (_, b) in zip(got_calls, want_calls):
+                np.testing.assert_array_equal(a, b)
+        else:
+            got = flood(graphs[0], sources, **kwargs)
+            want = oracle_flood(graphs[1], sources, **kwargs)
+        assert got.source == want.source
+        assert got.time == want.time
+        assert got.completed == want.completed
+        assert got.informed_history.dtype == want.informed_history.dtype
+        np.testing.assert_array_equal(got.informed_history,
+                                      want.informed_history)
+        np.testing.assert_array_equal(got.informed, want.informed)
+        assert graphs[0].time == graphs[1].time
+    return graphs
+
+
+_SEED = st.integers(0, 2**32 - 1)
+
+
+def _sources(n, draw):
+    k = draw(st.integers(1, min(n, 3)))
+    picked = draw(st.permutations(range(n)))[:k]
+    return picked[0] if k == 1 and draw(st.booleans()) else list(picked)
+
+
+class TestFloodMatchesOracle:
+    """The static-graph fixpoint changes how :func:`flood` gets its
+    result, never the result: every field, the clock and the observer
+    log equal the brute-force loop's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=_SEED, n=st.integers(1, 24),
+           p=st.floats(0.0, 0.3), budget=st.integers(1, 60),
+           pre_steps=st.integers(0, 3))
+    def test_static_adjacency(self, data, seed, n, p, budget, pre_steps):
+        adj = _random_adjacency(n, p, np.random.default_rng(seed))
+        sources = _sources(n, data.draw)
+        _assert_same_flood(lambda: static(adj), sources, pre_steps=pre_steps,
+                           max_steps=budget, reset=data.draw(st.booleans()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=_SEED, n=st.integers(2, 30),
+           radius=st.floats(0.6, 1.4), move=st.sampled_from([0.0, 0.5, 1.0]),
+           budget=st.one_of(st.none(), st.integers(1, 40)),
+           reset=st.booleans(), pre_steps=st.integers(0, 3))
+    def test_geometric(self, data, seed, n, radius, move, budget, reset,
+                       pre_steps):
+        eps = 0.5  # move = 0 and 0.5 * eps are static, move = 2 * eps is not
+        sources = _sources(n, data.draw)
+
+        def make():
+            meg = GeometricMEG(n, move_radius=move * eps, radius=radius, eps=eps)
+            meg.reset(seed)
+            return meg
+
+        a, b = _assert_same_flood(make, sources, pre_steps=pre_steps,
+                                  seed=seed + 1, max_steps=budget, reset=reset)
+        assert a.walkers._rng.bit_generator.state == \
+            b.walkers._rng.bit_generator.state
+        np.testing.assert_array_equal(a.snapshot().positions,
+                                      b.snapshot().positions)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 40])
+    def test_budget_before_and_after_the_stall(self, budget):
+        # Path 0-1-2 plus isolated nodes: the flood stalls after round 2.
+        adj = np.zeros((6, 6), dtype=bool)
+        adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
+        graph, _ = _assert_same_flood(lambda: static(adj), 0, pre_steps=0,
+                                      max_steps=budget)
+        res = flood(graph, 0, max_steps=budget)
+        assert res.time == budget and not res.completed
+        assert len(res.informed_history) == budget + 1
+        assert res.informed_history[-1] == min(budget, 2) + 1
+
+    def test_fixpoint_skips_neighbourhood_queries(self):
+        adj = np.zeros((5, 5), dtype=bool)
+        adj[0, 1] = adj[1, 0] = True
+        snap = AdjacencySnapshot(adj)
+        queries = []
+        query = snap.neighborhood_mask
+        snap.neighborhood_mask = lambda members: queries.append(1) or query(members)
+        graph = StaticEvolvingGraph(snap)
+        res = flood(graph, 0, max_steps=100)
+        assert res.time == 100 and graph.time == 100
+        assert len(queries) == 2  # round 0 informs node 1, round 1 stalls
