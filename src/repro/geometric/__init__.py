@@ -14,6 +14,7 @@ from repro.geometric.neighbors import (
     brute_force_within_radius,
     member_neighbor_counts,
     radius_bound2,
+    radius_csr,
     radius_degrees,
     radius_edges,
     within_radius_of_members,
@@ -37,6 +38,7 @@ __all__ = [
     "member_neighbor_counts",
     "batched_within_radius",
     "radius_edges",
+    "radius_csr",
     "radius_degrees",
     "brute_force_within_radius",
     "GeometricBatchedDynamics",

@@ -25,6 +25,7 @@ from repro.geometric.lattice import Lattice
 from repro.geometric.neighbors import (
     member_neighbor_counts,
     radius_bound2,
+    radius_csr,
     radius_degrees,
     radius_edges,
     within_radius_of_members,
@@ -41,11 +42,14 @@ class GeometricSnapshot(GraphSnapshot):
 
     The ``N(I)`` query runs a nearest-member k-d tree query instead of
     materialising edges, and :meth:`neighbor_counts` a ball-count query
-    on the same tree; :meth:`degrees` and :meth:`edge_count` build a
-    full tree on demand (diagnostics, not the flooding hot path).
+    on the same tree, so a flood never builds the whole graph.  Per-node
+    queries (:meth:`neighbors_of`, gossip neighbour sampling) slice
+    :attr:`csr`, built by one k-d pair query on first use and cached;
+    :meth:`degrees` and :meth:`edge_count` build a full tree on demand
+    (diagnostics, not the flooding hot path).
     """
 
-    __slots__ = ("_positions", "_radius", "_boxsize")
+    __slots__ = ("_positions", "_radius", "_boxsize", "_csr")
 
     def __init__(self, positions: np.ndarray, radius: float, *,
                  boxsize: float | None = None) -> None:
@@ -57,6 +61,7 @@ class GeometricSnapshot(GraphSnapshot):
             require(radius <= boxsize / 2 * (1 + 1e-12),
                     "toroidal queries need radius <= boxsize/2")
         self._boxsize = boxsize
+        self._csr = None
 
     @property
     def num_nodes(self) -> int:
@@ -91,18 +96,19 @@ class GeometricSnapshot(GraphSnapshot):
     def edge_count(self) -> int:
         return self.edges().shape[0]
 
-    def _delta_to(self, node: int) -> np.ndarray:
-        delta = self._positions - self._positions[node]
-        if self._boxsize is not None:
-            delta -= self._boxsize * np.round(delta / self._boxsize)
-        return delta
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The radius graph as read-only ``(indptr, indices)`` CSR arrays
+        with ascending rows (:func:`~repro.geometric.neighbors.radius_csr`),
+        built on first access and cached."""
+        if self._csr is None:
+            self._csr = radius_csr(self._positions, self._radius,
+                                   boxsize=self._boxsize)
+        return self._csr
 
     def neighbors_of(self, node: int) -> np.ndarray:
-        delta = self._delta_to(node)
-        dist2 = np.einsum("ij,ij->i", delta, delta)
-        mask = dist2 <= radius_bound2(self._radius)
-        mask[node] = False
-        return np.flatnonzero(mask)
+        indptr, indices = self.csr
+        return indices[indptr[node]:indptr[node + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:

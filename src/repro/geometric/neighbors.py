@@ -9,8 +9,11 @@ is built over the (usually small early / irrelevant late) informed set.
 :func:`member_neighbor_counts` runs the same tree as a ball-count query,
 giving every point its number of member neighbours — the exact integer
 state the worst-expansion search updates swap by swap.
+:func:`radius_csr` materialises the whole radius graph with one k-d pair
+query as ascending CSR rows: the per-node view the geometric snapshots
+cache for ``neighbors_of`` and gossip neighbour sampling.
 
-Every query here, and every per-node distance scan of the geometric
+Every query here, and every single-pair distance check of the geometric
 snapshots, applies one inclusive edge rule: ``{u, v}`` is an edge iff
 ``d(u, v)^2 <= radius_bound2(R)``.  k-d trees compare squared distances
 against the square of their query radius, so they are queried at the
@@ -37,6 +40,7 @@ __all__ = [
     "member_neighbor_counts",
     "batched_within_radius",
     "radius_edges",
+    "radius_csr",
     "radius_degrees",
     "brute_force_within_radius",
 ]
@@ -62,10 +66,17 @@ def radius_bound2(radius: float) -> float:
 
 
 def _prepare(positions: np.ndarray, boxsize: float | None) -> np.ndarray:
-    """Wrap positions into [0, boxsize) when a toroidal metric is requested."""
+    """Wrap positions into [0, boxsize) when a toroidal metric is requested.
+
+    ``np.mod`` rounds a tiny negative coordinate up to exactly *boxsize*
+    (``np.mod(-1e-17, 10.0) == 10.0``), which a periodic cKDTree
+    rejects; such values are folded to 0, the same point of the torus.
+    """
     if boxsize is None:
         return positions
-    return np.mod(positions, boxsize)
+    wrapped = np.mod(positions, boxsize)
+    wrapped[wrapped >= boxsize] = 0.0
+    return wrapped
 
 
 def within_radius_of_members(
@@ -413,6 +424,17 @@ def batched_within_radius(
     return out
 
 
+def _radius_pairs(positions: np.ndarray, radius: float,
+                  boxsize: float | None) -> np.ndarray:
+    """Every pair ``i < j`` within *radius*, as an ``(m, 2)`` int64 array
+    in the k-d tree's order."""
+    positions = _prepare(np.asarray(positions, dtype=float), boxsize)
+    radius = require_positive(radius, "radius")
+    tree = cKDTree(positions, boxsize=boxsize)
+    pairs = tree.query_pairs(_query_radius(radius), output_type="ndarray")
+    return pairs.astype(np.int64, copy=False)
+
+
 def radius_edges(positions: np.ndarray, radius: float, *,
                  boxsize: float | None = None) -> np.ndarray:
     """All undirected edges ``{u, v}`` with ``d(u, v) <= radius``.
@@ -421,13 +443,33 @@ def radius_edges(positions: np.ndarray, radius: float, *,
     materialise full geometric snapshots for expansion analysis and
     tests (not on the flooding hot path).
     """
-    positions = _prepare(np.asarray(positions, dtype=float), boxsize)
-    radius = require_positive(radius, "radius")
-    tree = cKDTree(positions, boxsize=boxsize)
-    pairs = tree.query_pairs(_query_radius(radius), output_type="ndarray")
-    if pairs.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.sort(pairs.astype(np.int64), axis=1)
+    return np.sort(_radius_pairs(positions, radius, boxsize), axis=1)
+
+
+def radius_csr(positions: np.ndarray, radius: float, *,
+               boxsize: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The whole radius graph as CSR arrays ``(indptr, indices)``.
+
+    One k-d pair query under the inclusive edge rule, symmetrised: node
+    ``u``'s neighbours are ``indices[indptr[u]:indptr[u + 1]]``, strictly
+    ascending, without ``u`` itself.  Ascending rows are what make a
+    rank-``k`` pick from a row equal to the ``k``-th set column of the
+    node's boolean neighbourhood row.  Both arrays are ``int64`` and
+    read-only, so row views handed out of a cached CSR cannot corrupt it.
+    """
+    n = np.shape(positions)[0]
+    pairs = _radius_pairs(positions, radius, boxsize)
+    # One sort of the combined (row, column) keys orders every row and
+    # its columns at once; rows are then recovered by counting.
+    keys = np.concatenate((pairs[:, 0] * n + pairs[:, 1],
+                           pairs[:, 1] * n + pairs[:, 0]))
+    keys.sort()
+    rows, indices = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indptr.flags.writeable = False
+    indices.flags.writeable = False
+    return indptr, indices
 
 
 def radius_degrees(positions: np.ndarray, radius: float, *,

@@ -28,7 +28,7 @@ import numpy as np
 from repro.dynamics.base import EvolvingGraph, GraphSnapshot
 from repro.geometric.neighbors import (
     member_neighbor_counts,
-    radius_bound2,
+    radius_csr,
     radius_degrees,
     radius_edges,
     within_radius_of_members,
@@ -77,7 +77,7 @@ class SphereSnapshot(GraphSnapshot):
     thresholding the chord is thresholding the geodesic.
     """
 
-    __slots__ = ("_points", "_rho", "_radius")
+    __slots__ = ("_points", "_rho", "_radius", "_csr")
 
     def __init__(self, unit_points: np.ndarray, sphere_radius: float,
                  radius: float) -> None:
@@ -87,6 +87,7 @@ class SphereSnapshot(GraphSnapshot):
         self._rho = require_positive(sphere_radius, "sphere_radius")
         self._radius = require_positive(radius, "radius")
         require(radius <= 2 * self._rho, "chord radius cannot exceed the diameter")
+        self._csr = None
 
     @property
     def num_nodes(self) -> int:
@@ -109,13 +110,17 @@ class SphereSnapshot(GraphSnapshot):
     def edge_count(self) -> int:
         return radius_edges(self.positions, self._radius).shape[0]
 
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The chord-radius graph as read-only ``(indptr, indices)`` CSR
+        arrays with ascending rows, built on first access and cached."""
+        if self._csr is None:
+            self._csr = radius_csr(self.positions, self._radius)
+        return self._csr
+
     def neighbors_of(self, node: int) -> np.ndarray:
-        coords = self.positions
-        delta = coords - coords[node]
-        dist2 = np.einsum("ij,ij->i", delta, delta)
-        mask = dist2 <= radius_bound2(self._radius)
-        mask[node] = False
-        return np.flatnonzero(mask)
+        indptr, indices = self.csr
+        return indices[indptr[node]:indptr[node + 1]]
 
 
 class SphereWaypointMEG(EvolvingGraph):

@@ -79,9 +79,11 @@ def sample_neighbors(snapshot, nodes: np.ndarray,
 
     Three gather strategies, fastest capability first:
 
-    * CSR snapshots (``snapshot.csr`` — the sparse edge-MEG family):
+    * CSR snapshots (``snapshot.csr`` — edge lists, and the geometric
+      and sphere radius snapshots, which build theirs on first use):
       the rank-th entry of each node's contiguous neighbor slice,
-      ``O(len(nodes))``.
+      ``O(len(nodes))``.  Radius rows are ascending, so a radius
+      snapshot draws exactly the picks of the one-hot path below.
     * dense boolean ``snapshot.adjacency`` (edge-MEGs, deterministic
       sequences): one row-gather plus a flat ``nonzero`` — a single
       pass over the gathered rows, no per-row Python.

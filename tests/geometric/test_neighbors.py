@@ -15,11 +15,25 @@ from repro.geometric.neighbors import (
     brute_force_within_radius,
     member_neighbor_counts,
     radius_bound2,
+    radius_csr,
     radius_degrees,
     radius_edges,
     within_radius_of_members,
 )
 from repro.mobility.sphere import SphereSnapshot
+
+
+def oracle_neighbors_of(positions: np.ndarray, radius: float, node: int, *,
+                        boxsize: float | None = None) -> np.ndarray:
+    """The per-node distance scan radius snapshots once answered
+    ``neighbors_of`` with: every point against *node* under the one
+    inclusive edge rule, minimum-image on a torus."""
+    delta = positions - positions[node]
+    if boxsize is not None:
+        delta -= boxsize * np.round(delta / boxsize)
+    mask = np.einsum("ij,ij->i", delta, delta) <= radius_bound2(radius)
+    mask[node] = False
+    return np.flatnonzero(mask)
 
 
 class TestWithinRadius:
@@ -299,3 +313,178 @@ class TestOneEdgeRule:
         positions = snap.positions
         self._assert_in_band(positions)
         self._assert_all_paths_connect(snap, positions)
+
+
+#: Lattice spacings, relative to ``R``: half, exactly ``R``, inside the
+#: slack band of the inclusive edge rule, and clearly past it.
+_SPACINGS = (0.5, 1.0, 1 + 0.75e-12, 1 + 3e-12)
+
+
+@st.composite
+def radius_inputs(draw):
+    """``(snapshot, positions, radius, boxsize)``: a planar, toroidal or
+    sphere radius snapshot over uniform, lattice or coincident points."""
+    kind = draw(st.sampled_from(["plane", "torus", "sphere"]))
+    layout = draw(st.sampled_from(["uniform", "lattice", "coincident"]))
+    n = draw(st.integers(1, 36))
+    radius = draw(st.floats(0.5, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sphere":
+        rho = 3.0
+        if layout == "lattice":
+            # Points on one great circle, consecutive chords at the spacing.
+            chord = min(radius * draw(st.sampled_from(_SPACINGS)), 2 * rho)
+            step = 2 * math.asin(chord / (2 * rho))
+            angles = step * rng.integers(0, max(1, int(2 * math.pi / step)), n)
+            unit = np.stack([np.cos(angles), np.sin(angles),
+                             np.zeros(n)], axis=1)
+        else:
+            unit = rng.normal(size=(n if layout == "uniform" else 4, 3))
+            unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+            if layout == "coincident":
+                unit = unit[rng.integers(0, 4, n)]
+        snap = SphereSnapshot(unit, rho, radius)
+        return snap, snap.positions, radius, None
+    side = 12.0
+    boxsize = side if kind == "torus" else None
+    if layout == "lattice":
+        spacing = radius * draw(st.sampled_from(_SPACINGS))
+        cells = max(1, int(side / spacing))
+        positions = spacing * rng.integers(0, cells, size=(n, 2)).astype(float)
+    elif layout == "uniform":
+        positions = rng.uniform(0.0, side, size=(n, 2))
+    else:
+        positions = rng.uniform(0.0, side, size=(4, 2))[rng.integers(0, 4, n)]
+    snap = GeometricSnapshot(positions, radius, boxsize=boxsize)
+    return snap, positions, radius, boxsize
+
+
+def _onehot(n: int, node: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[node] = True
+    return mask
+
+
+def assert_csr_is_radius_graph(indptr, indices, positions, radius, boxsize):
+    """Rows equal brute-force one-hot rows and ascend strictly; the CSR
+    is symmetric, int64 and free of self-loops."""
+    n = len(positions)
+    assert indptr.dtype == np.int64 and indices.dtype == np.int64
+    assert indptr.shape == (n + 1,)
+    assert indptr[0] == 0 and indptr[-1] == indices.shape[0]
+    for u in range(n):
+        row = indices[indptr[u]:indptr[u + 1]]
+        assert (np.diff(row) > 0).all(), f"row {u} is not strictly ascending"
+        expected = brute_force_within_radius(positions, _onehot(n, u), radius,
+                                             boxsize=boxsize)
+        np.testing.assert_array_equal(row, np.flatnonzero(expected),
+                                      err_msg=f"row {u}")
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    assert not (rows == indices).any(), "self-loop"
+    arcs = set(zip(rows.tolist(), indices.tolist()))
+    assert arcs == {(v, u) for u, v in arcs}, "not symmetric"
+
+
+class TestRadiusCsr:
+    """The cached whole-graph CSR behind ``neighbors_of`` and gossip
+    sampling, against brute force and the per-node scan it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=radius_inputs())
+    def test_property_matches_brute_force(self, case):
+        snap, positions, radius, boxsize = case
+        indptr, indices = radius_csr(positions, radius, boxsize=boxsize)
+        assert_csr_is_radius_graph(indptr, indices, positions, radius, boxsize)
+        assert snap._csr is None  # nothing above touched the snapshot's
+        for u in range(snap.num_nodes):
+            row = snap.neighbors_of(u)
+            np.testing.assert_array_equal(
+                row, oracle_neighbors_of(positions, radius, u, boxsize=boxsize))
+            assert not row.flags.writeable
+        snap_indptr, snap_indices = snap.csr
+        np.testing.assert_array_equal(snap_indptr, indptr)
+        np.testing.assert_array_equal(snap_indices, indices)
+
+    def test_built_once_and_read_only(self, small_positions):
+        snap = GeometricSnapshot(small_positions, 3.0)
+        assert snap._csr is None
+        indptr, indices = snap.csr
+        assert snap.csr[0] is indptr and snap.csr[1] is indices
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        row = snap.neighbors_of(int(np.argmax(np.diff(indptr))))
+        assert row.size > 0
+        with pytest.raises(ValueError):
+            row[0] = 0
+
+    def test_isolated_nodes_and_singleton(self):
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [50.0, 50.0]])
+        indptr, indices = radius_csr(pos, 1.5)
+        assert indptr.tolist() == [0, 1, 2, 2]
+        assert indices.tolist() == [1, 0]
+        indptr, indices = radius_csr(pos[:1], 1.5)
+        assert indptr.tolist() == [0, 0] and indices.size == 0
+        snap = GeometricSnapshot(pos[:1], 1.5)
+        assert snap.neighbors_of(0).size == 0
+
+    def test_coincident_points_connect(self):
+        pos = np.array([[2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
+        indptr, indices = radius_csr(pos, 0.5)
+        assert indptr.tolist() == [0, 2, 4, 6]
+        assert indices.tolist() == [1, 2, 0, 2, 0, 1]
+
+    def test_slack_band_pairs_connect(self):
+        """Every consecutive pair of the line sits at ``R`` or inside the
+        slack band; the pair past the band stays apart."""
+        radius = 3.0
+        gaps = [radius, radius * (1 + 0.75e-12), radius * (1 + 3e-12)]
+        xs = np.concatenate(([0.0], np.cumsum(gaps)))
+        pos = np.stack([xs, np.zeros_like(xs)], axis=1)
+        indptr, indices = radius_csr(pos, radius)
+        assert indices.tolist() == [1, 0, 2, 1]
+        assert_csr_is_radius_graph(indptr, indices, pos, radius, None)
+
+
+class TestTorusWrapEdge:
+    """``np.mod(-1e-17, L) == L``: a coordinate that wraps onto the box
+    edge must still reach every periodic k-d helper as a valid point."""
+
+    BOX = 10.0
+    RADIUS = 1.0
+
+    @pytest.fixture
+    def positions(self):
+        return np.array([[-1e-17, 5.0], [self.BOX, 2.0], [9.6, 5.0],
+                         [0.3, 2.0], [5.0, -1e-17], [5.0, 9.5]])
+
+    def test_prepare_stays_inside_the_box(self, positions):
+        from repro.geometric.neighbors import _prepare
+        wrapped = _prepare(positions, self.BOX)
+        assert ((wrapped >= 0.0) & (wrapped < self.BOX)).all()
+
+    def test_every_kd_helper_matches_brute_force(self, positions):
+        n = len(positions)
+        kw = {"boxsize": self.BOX}
+        members = np.array([True, False, False, True, False, False])
+        expected = brute_force_within_radius(positions, members, self.RADIUS, **kw)
+        assert expected[[2, 1]].all()  # the pairs across the seam connect
+        np.testing.assert_array_equal(
+            within_radius_of_members(positions, members, self.RADIUS, **kw),
+            expected)
+        np.testing.assert_array_equal(
+            batched_within_radius(positions[None], members[None],
+                                  self.RADIUS, **kw)[0],
+            expected)
+        counts = member_neighbor_counts(positions, members, self.RADIUS, **kw)
+        indptr, indices = radius_csr(positions, self.RADIUS, **kw)
+        assert_csr_is_radius_graph(indptr, indices, positions, self.RADIUS,
+                                   self.BOX)
+        degrees = np.diff(indptr)
+        np.testing.assert_array_equal(
+            radius_degrees(positions, self.RADIUS, **kw), degrees)
+        edges = radius_edges(positions, self.RADIUS, **kw)
+        assert edges.shape[0] * 2 == int(degrees.sum())
+        for u, v in edges:
+            assert v in indices[indptr[u]:indptr[u + 1]]
+        for u in range(n):
+            np.testing.assert_array_equal(
+                counts[u], np.count_nonzero(members[indices[indptr[u]:indptr[u + 1]]]))
