@@ -15,8 +15,9 @@ Processes
     expiring (SIR-style) flooding, push / pull / push–pull gossip —
     behind one registry the engine dispatches through
     (:func:`~repro.protocols.spread`,
-    :func:`~repro.protocols.spreading_trials`); the legacy serial
-    baselines remain in :mod:`repro.core.spreading`.
+    :func:`~repro.protocols.spreading_trials`); the legacy baselines of
+    :mod:`repro.core.spreading` are :func:`~repro.protocols.spread`
+    calls on the same round loop as :func:`~repro.core.flood`.
 Engine
     The batched Monte Carlo engine in :mod:`repro.engine`: declare a
     :class:`~repro.engine.SimulationPlan`, execute it with

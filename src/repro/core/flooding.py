@@ -30,6 +30,8 @@ Notes on semantics
   change again, so ``N(I_t)`` stays empty.  :func:`flood` stops
   querying it and spends the rest of the budget stepping the graph and
   repeating the count, so the result is the one the full loop returns.
+* :func:`flood` runs the one single-trial round loop of the library
+  (:mod:`repro.protocols.runner`) with the flooding protocol.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def resolve_max_steps(n: int, max_steps: int | None = DEFAULT_MAX_STEPS) -> int:
     experiments plus a constant floor so tiny graphs are not truncated
     prematurely.  An explicit *max_steps* is validated and returned
     unchanged.  This is the single budget rule shared by
-    :func:`flood`, the protocols in :mod:`repro.core.spreading`, and
-    the batched engine in :mod:`repro.engine`.
+    the round loop of :mod:`repro.protocols.runner`, the engine, the
+    journeys and the count chain of :mod:`repro.edgemeg.independent`.
     """
     n = require_positive_int(n, "n")
     if max_steps is None:
@@ -170,7 +172,9 @@ def flood(
 
     On a static graph the first round that informs no one ends the
     neighbourhood queries: the remaining rounds only step the graph
-    and repeat the count (see the module notes).
+    and repeat the count (see the module notes).  A traced run records
+    ``protocol.rounds`` and ``protocol.transmit_s`` with
+    ``protocol=flooding``, like every protocol run.
 
     Returns
     -------
@@ -182,44 +186,11 @@ def flood(
 
     if reset:
         graph.reset(seed)
+    # Function-level import: repro.protocols imports this module.
+    from repro.protocols.base import FLOODING
+    from repro.protocols.runner import _spread_rounds
 
-    informed = np.zeros(n, dtype=bool)
-    informed[list(sources)] = True
-    history = [len(sources)]
-
-    static = graph.is_static
-    t = 0
-    while history[-1] < n and t < budget:
-        snap = graph.snapshot()
-        if observer is not None:
-            observer(t, snap, informed)
-        fresh = snap.neighborhood_mask(informed)
-        count = history[-1]
-        if fresh.any():
-            informed |= fresh
-            count = int(informed.sum())
-        graph.step()
-        t += 1
-        history.append(count)
-        if static and count == history[-2]:
-            break
-
-    # Fixpoint: on a static graph a round that informed no one repeats
-    # forever, so the rest of the budget only steps the clock.
-    while history[-1] < n and t < budget:
-        if observer is not None:
-            observer(t, graph.snapshot(), informed)
-        graph.step()
-        t += 1
-        history.append(history[-1])
-
-    return FloodingResult(
-        source=sources,
-        time=t,
-        completed=history[-1] == n,
-        informed_history=np.asarray(history, dtype=np.int64),
-        informed=informed,
-    )
+    return _spread_rounds(FLOODING, graph, sources, budget, None, observer)
 
 
 def flooding_time(

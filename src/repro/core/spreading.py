@@ -13,12 +13,15 @@ this dominance empirically against the standard alternatives:
   flooding of Baumann, Crescenzi and Fraigniaud, reference [4]).
 * :func:`push_gossip` — each informed node contacts one uniformly
   random neighbor per step (classical rumor spreading, reference [30]).
-* :func:`push_pull_gossip` — push plus pull: uninformed nodes also
-  query one random neighbor.
+* :func:`pull_gossip` — each uninformed node queries one uniformly
+  random neighbor.
+* :func:`push_pull_gossip` — push plus pull in the same step.
 
-All protocols run on any :class:`~repro.dynamics.base.EvolvingGraph`
-and return a :class:`~repro.core.flooding.FloodingResult`-compatible
-record so the analysis code treats them uniformly.
+Every function here is one :func:`repro.protocols.runner.spread` call,
+so all of them run the same round loop as :func:`~repro.core.flooding.flood`
+and return its :class:`~repro.core.flooding.FloodingResult` record.
+The gossip functions keep this module's per-node draw rule, which the
+vectorised zoo gossip of :mod:`repro.protocols.zoo` does not reproduce.
 
 Seeding convention: every protocol splits its seed as
 ``rng_graph, rng_protocol = spawn(seed, 2)`` — so passing the *same*
@@ -34,19 +37,18 @@ protocol here at every time step.
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 
-from repro.core.flooding import (
-    DEFAULT_MAX_STEPS,
-    FloodingResult,
-    _resolve_sources,
-    resolve_max_steps,
-)
+from repro.core.flooding import DEFAULT_MAX_STEPS, FloodingResult
 from repro.dynamics.base import EvolvingGraph
-from repro.util.rng import SeedLike, as_generator, derive_seed, spawn
-from repro.util.validation import require, require_positive_int, require_probability
+from repro.protocols.base import SpreadingProtocol
+from repro.protocols.runner import draw_trial_source, protocol_trial_streams, spread
+from repro.protocols.zoo import ExpiringFlooding, ProbabilisticFlooding
+from repro.util.rng import SeedLike
+from repro.util.validation import require, require_positive_int
 
 __all__ = [
     "probabilistic_flood",
@@ -56,20 +58,6 @@ __all__ = [
     "push_pull_gossip",
     "protocol_trials",
 ]
-
-
-def _budget(graph: EvolvingGraph, max_steps: int | None) -> int:
-    return resolve_max_steps(graph.num_nodes, max_steps)
-
-
-def _finish(sources, t, informed, history) -> FloodingResult:
-    return FloodingResult(
-        source=sources,
-        time=t,
-        completed=history[-1] == informed.shape[0],
-        informed_history=np.asarray(history, dtype=np.int64),
-        informed=informed,
-    )
 
 
 def probabilistic_flood(
@@ -85,28 +73,8 @@ def probabilistic_flood(
     With probability 1 it is never faster than flooding; with
     ``transmit_probability = 1`` it coincides with flooding.
     """
-    f = require_probability(transmit_probability, "transmit_probability", open_left=True)
-    n = graph.num_nodes
-    sources = _resolve_sources(source, n)
-    budget = _budget(graph, max_steps)
-    rng_graph, rng_proto = spawn(seed, 2)
-    graph.reset(rng_graph)
-
-    informed = np.zeros(n, dtype=bool)
-    informed[list(sources)] = True
-    history = [len(sources)]
-    t = 0
-    while history[-1] < n and t < budget:
-        snap = graph.snapshot()
-        active = informed & (rng_proto.random(n) < f)
-        if active.any():
-            fresh = snap.neighborhood_mask(active) & ~informed
-            if fresh.any():
-                informed |= fresh
-        graph.step()
-        t += 1
-        history.append(int(informed.sum()))
-    return _finish(sources, t, informed, history)
+    return spread(ProbabilisticFlooding(transmit_probability), graph, source,
+                  seed=seed, max_steps=max_steps)
 
 
 def parsimonious_flood(
@@ -125,35 +93,8 @@ def parsimonious_flood(
     already completes, on slowly-changing ones it can stall — both
     behaviours are exercised in E14.
     """
-    k = require_positive_int(active_steps, "active_steps")
-    n = graph.num_nodes
-    sources = _resolve_sources(source, n)
-    budget = _budget(graph, max_steps)
-    # Same seed split as the randomized protocols (graph stream first),
-    # so one trial seed couples the graph realisation across protocols.
-    rng_graph, _ = spawn(seed, 2)
-    graph.reset(rng_graph)
-
-    informed = np.zeros(n, dtype=bool)
-    informed[list(sources)] = True
-    informed_at = np.full(n, -1, dtype=np.int64)
-    informed_at[list(sources)] = 0
-    history = [len(sources)]
-    t = 0
-    while history[-1] < n and t < budget:
-        snap = graph.snapshot()
-        active = informed & (informed_at > t - k)
-        if active.any():
-            fresh = snap.neighborhood_mask(active) & ~informed
-            if fresh.any():
-                informed |= fresh
-                informed_at[fresh] = t + 1
-        graph.step()
-        t += 1
-        history.append(int(informed.sum()))
-        if not (informed & (informed_at > t - k)).any() and history[-1] < n:
-            break  # all transmitters expired: the protocol has stalled
-    return _finish(sources, t, informed, history)
+    return spread(ExpiringFlooding(active_steps), graph, source,
+                  seed=seed, max_steps=max_steps)
 
 
 def _one_random_neighbor(snap, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -166,6 +107,32 @@ def _one_random_neighbor(snap, nodes: np.ndarray, rng: np.random.Generator) -> n
     return picks
 
 
+@dataclass(frozen=True)
+class _Gossip(SpreadingProtocol):
+    """Push and/or pull gossip on this module's per-node draw rule: each
+    informed node (push), then each uninformed node (pull), draws
+    ``rng.integers(degree)`` in node order.  Not registered: the zoo
+    gossip draws differently, and E14's tables are drawn with this."""
+
+    push: bool = True
+    pull: bool = False
+
+    name: ClassVar[str] = "legacy-gossip"
+
+    def transmit(self, snapshot, state, informed, active, t, rng):
+        fresh = np.zeros(informed.shape[0], dtype=bool)
+        if self.push:
+            pushed = _one_random_neighbor(snapshot, np.flatnonzero(active), rng)
+            fresh[pushed[pushed >= 0]] = True
+        if self.pull:
+            pullers = np.flatnonzero(~informed)
+            pulled_from = _one_random_neighbor(snapshot, pullers, rng)
+            ok = pulled_from >= 0
+            ok[ok] = informed[pulled_from[ok]]
+            fresh[pullers[ok]] = True
+        return fresh & ~informed
+
+
 def push_gossip(
     graph: EvolvingGraph,
     source: int = 0,
@@ -174,27 +141,7 @@ def push_gossip(
     max_steps: int | None = DEFAULT_MAX_STEPS,
 ) -> FloodingResult:
     """Push rumor spreading: every informed node pushes to one random neighbor."""
-    n = graph.num_nodes
-    sources = _resolve_sources(source, n)
-    budget = _budget(graph, max_steps)
-    rng_graph, rng_proto = spawn(seed, 2)
-    graph.reset(rng_graph)
-
-    informed = np.zeros(n, dtype=bool)
-    informed[list(sources)] = True
-    history = [len(sources)]
-    t = 0
-    while history[-1] < n and t < budget:
-        snap = graph.snapshot()
-        senders = np.flatnonzero(informed)
-        targets = _one_random_neighbor(snap, senders, rng_proto)
-        targets = targets[targets >= 0]
-        if targets.size:
-            informed[targets] = True
-        graph.step()
-        t += 1
-        history.append(int(informed.sum()))
-    return _finish(sources, t, informed, history)
+    return spread(_Gossip(), graph, source, seed=seed, max_steps=max_steps)
 
 
 def pull_gossip(
@@ -211,28 +158,8 @@ def pull_gossip(
     the endgame (few uninformed nodes, many potential informers) and to
     lag in the opening — both visible in E14-style comparisons.
     """
-    n = graph.num_nodes
-    sources = _resolve_sources(source, n)
-    budget = _budget(graph, max_steps)
-    rng_graph, rng_proto = spawn(seed, 2)
-    graph.reset(rng_graph)
-
-    informed = np.zeros(n, dtype=bool)
-    informed[list(sources)] = True
-    history = [len(sources)]
-    t = 0
-    while history[-1] < n and t < budget:
-        snap = graph.snapshot()
-        pullers = np.flatnonzero(~informed)
-        pulled_from = _one_random_neighbor(snap, pullers, rng_proto)
-        ok = (pulled_from >= 0) & informed[np.clip(pulled_from, 0, n - 1)]
-        fresh = pullers[ok]
-        if fresh.size:
-            informed[fresh] = True
-        graph.step()
-        t += 1
-        history.append(int(informed.sum()))
-    return _finish(sources, t, informed, history)
+    return spread(_Gossip(push=False, pull=True), graph, source, seed=seed,
+                  max_steps=max_steps)
 
 
 def push_pull_gossip(
@@ -247,62 +174,20 @@ def push_pull_gossip(
     Informed nodes push to one random neighbor; uninformed nodes pull
     from one random neighbor (successful if that neighbor is informed).
     """
-    n = graph.num_nodes
-    sources = _resolve_sources(source, n)
-    budget = _budget(graph, max_steps)
-    rng_graph, rng_proto = spawn(seed, 2)
-    graph.reset(rng_graph)
-
-    informed = np.zeros(n, dtype=bool)
-    informed[list(sources)] = True
-    history = [len(sources)]
-    t = 0
-    while history[-1] < n and t < budget:
-        snap = graph.snapshot()
-        senders = np.flatnonzero(informed)
-        pushed = _one_random_neighbor(snap, senders, rng_proto)
-        pushed = pushed[pushed >= 0]
-        pullers = np.flatnonzero(~informed)
-        pulled_from = _one_random_neighbor(snap, pullers, rng_proto)
-        ok = (pulled_from >= 0) & informed[np.clip(pulled_from, 0, n - 1)]
-        fresh_pullers = pullers[ok]
-        if pushed.size:
-            informed[pushed] = True
-        if fresh_pullers.size:
-            informed[fresh_pullers] = True
-        graph.step()
-        t += 1
-        history.append(int(informed.sum()))
-    return _finish(sources, t, informed, history)
+    return spread(_Gossip(pull=True), graph, source, seed=seed, max_steps=max_steps)
 
 
 # ---------------------------------------------------------------------------
 # trial batches
 # ---------------------------------------------------------------------------
 
-def _protocol_trial_seed(seed: SeedLike, trial: int) -> int:
-    """Stable integer seed of one protocol trial.
-
-    Integers (not generator objects) on purpose: passing the same
-    *seed* to :func:`protocol_trials` for *different* protocols hands
-    every protocol the identical per-trial integer, so their internal
-    ``spawn(seed, 2)`` splits couple the evolving-graph realisation
-    across protocols (the E14 dominance methodology) while keeping the
-    protocol randomness independent.
-    """
-    return derive_seed(seed, 2 * trial)
-
-
 def _protocol_chunk(payload: dict) -> list[FloodingResult]:
     """Worker entry: run a contiguous block of protocol trials."""
     protocol = payload["protocol"]
     graph = payload["graph"]
-    results = []
-    for trial, src in zip(payload["trials"], payload["sources"]):
-        results.append(protocol(graph, src, seed=payload["seeds"][trial],
-                                max_steps=payload["max_steps"],
-                                **payload["kwargs"]))
-    return results
+    return [protocol(graph, src, seed=run_seed, max_steps=payload["max_steps"],
+                     **payload["kwargs"])
+            for run_seed, src in payload["runs"]]
 
 
 def protocol_trials(
@@ -322,21 +207,25 @@ def protocol_trials(
     """Independent trials of a spreading *protocol* (engine-executed).
 
     The protocol counterpart of
-    :func:`~repro.core.flooding.flooding_trials`: per-trial seeds derive
-    deterministically from *seed* (see :func:`_protocol_trial_seed` for
-    the cross-protocol coupling guarantee) and a uniformly random source
-    is drawn per trial when *source* is ``None``.
+    :func:`~repro.core.flooding.flooding_trials`, on the replay layout of
+    :func:`~repro.protocols.runner.protocol_trial_streams`: trial ``i``
+    gets the integer seed ``derive_seed(seed, 2 i)`` and, when *source*
+    is ``None``, a uniform source from ``derive_seed(seed, 2 i + 1)``.
+    Integers, so the same *seed* couples the evolving-graph realisation
+    of *different* protocols trial by trial (the E14 dominance
+    methodology), and ``protocol_trials(partial(spread, P), ...)``
+    equals ``spreading_trials(P, ...)`` for non-flooding ``P``.
 
     *protocol* is any callable with the module's protocol signature
     ``protocol(graph, source, *, seed, max_steps, **kwargs)`` —
     including :func:`repro.core.flooding.flood` itself.
 
-    Backends: ``"serial"`` and ``"batched"`` run in-process (protocols
-    carry per-node randomness that the vectorised kernels do not model
-    yet, so ``"batched"`` is an alias kept for interface uniformity
-    with the flooding engine); ``"parallel"`` fans chunks out to worker
-    processes, which requires *protocol* to be picklable (module-level
-    function or :func:`functools.partial`).
+    Backends: ``"serial"`` and ``"batched"`` run in-process (*protocol*
+    is an opaque callable, so ``"batched"`` — and with it the
+    experiments' ``--backend native`` — is an alias kept for interface
+    uniformity with the flooding engine); ``"parallel"`` fans chunks
+    out to worker processes, which requires *protocol* to be picklable
+    (module-level function or :func:`functools.partial`).
     """
     trials = require_positive_int(trials, "trials")
     require(backend in ("serial", "batched", "parallel"),
@@ -346,31 +235,18 @@ def protocol_trials(
     # Protocol randomness has a single (replay) layout today; rng_mode is
     # accepted so ExperimentConfig.flood_kwargs() routes uniformly.
     n = graph.num_nodes
-    seeds = [_protocol_trial_seed(seed, i) for i in range(trials)]
-    sources = []
-    for i in range(trials):
-        if source is None:
-            rng = as_generator(derive_seed(seed, 2 * i + 1))
-            sources.append(int(rng.integers(n)))
-        else:
-            sources.append(source)
+    runs = [(run_seed, draw_trial_source(source, n, source_seed))
+            for run_seed, source_seed in protocol_trial_streams(seed, 0, trials)]
     if backend != "parallel" or (jobs is not None and jobs == 1) or trials == 1:
-        return [protocol(graph, sources[i], seed=seeds[i],
-                         max_steps=max_steps, **protocol_kwargs)
-                for i in range(trials)]
+        return [protocol(graph, src, seed=run_seed, max_steps=max_steps,
+                         **protocol_kwargs)
+                for run_seed, src in runs]
     from repro.engine.executor import fan_out_chunks
 
-    payloads = []
-    for start in range(0, trials, require_positive_int(chunk_size, "chunk_size")):
-        block = list(range(start, min(start + chunk_size, trials)))
-        payloads.append({
-            "protocol": protocol,
-            "graph": graph,
-            "trials": block,
-            "sources": [sources[i] for i in block],
-            "seeds": seeds,
-            "max_steps": max_steps,
-            "kwargs": protocol_kwargs,
-        })
+    chunk_size = require_positive_int(chunk_size, "chunk_size")
+    payloads = [{"protocol": protocol, "graph": graph,
+                 "runs": runs[start:start + chunk_size],
+                 "max_steps": max_steps, "kwargs": protocol_kwargs}
+                for start in range(0, trials, chunk_size)]
     chunks = fan_out_chunks(_protocol_chunk, payloads, jobs)
     return [result for chunk in chunks for result in chunk]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.flooding import resolve_max_steps
 from repro.dynamics.base import EvolvingGraph
 from repro.dynamics.snapshots import AdjacencySnapshot
 from repro.edgemeg.er import erdos_renyi_adjacency
@@ -121,7 +122,7 @@ def flood_time_independent(
     p = require_probability(p, "p", open_left=True)
     m0 = require_positive_int(initial_informed, "initial_informed")
     require(m0 <= n, "initial_informed must be <= n")
-    budget = 4 * n + 64 if max_steps is None else require_positive_int(max_steps, "max_steps")
+    budget = resolve_max_steps(n, max_steps)
     rng = as_generator(seed)
 
     history = [m0]

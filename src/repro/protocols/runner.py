@@ -1,27 +1,29 @@
 """Serial reference runner and engine-backed trial batches for protocols.
 
-:func:`spread` is the protocol generalisation of
-:func:`repro.core.flooding.flood` — one run of one protocol on one
-evolving-graph realisation, returning the same
-:class:`~repro.core.flooding.FloodingResult` record.  It is the only
-exact round loop for protocols: the serial backend calls it per trial,
-the engine's replay chunks call it per trial on their slice of the
-same stream layout, and the engine's native fallback runs its round
-loop (:func:`_spread_rounds`) on chunk-spawned streams.  For
-:class:`~repro.protocols.base.Flooding` it is **bit-identical** to
-``flood`` (same seed handling, same per-round query, same bookkeeping);
-for randomized protocols it splits the seed as
+:func:`_spread_rounds` is the one single-trial round loop of the
+library.  :func:`spread` runs it for any protocol,
+:func:`repro.core.flooding.flood` runs it with
+:data:`~repro.protocols.base.FLOODING` (plus its observer), the legacy
+functions of :mod:`repro.core.spreading` are :func:`spread` calls, the
+engine's replay chunks call ``flood`` / ``spread`` per trial, and the
+engine's native fallback calls the loop on chunk-spawned streams.
+Plain flooding on a static graph stops querying at its first silent
+round (the static fixpoint of :mod:`repro.core.flooding`); a random
+protocol's silent round is no fixpoint, so others stop only when
+``stalled``.
+
+:func:`spread` returns the :class:`~repro.core.flooding.FloodingResult`
+record of ``flood``.  For :class:`~repro.protocols.base.Flooding` it is
+**bit-identical** to ``flood`` (same seed handling, same loop); for
+randomized protocols it splits the seed as
 ``rng_graph, rng_protocol = spawn(seed, 2)`` (the coupling convention
-of :mod:`repro.core.spreading`, kept so the new
-:class:`~repro.protocols.zoo.ProbabilisticFlooding` /
-:class:`~repro.protocols.zoo.ExpiringFlooding` reproduce the legacy
-``probabilistic_flood`` / ``parsimonious_flood`` draw for draw).
+of :mod:`repro.core.spreading`).
 
 :func:`spreading_trials` is the protocol counterpart of
 :func:`repro.core.flooding.flooding_trials`: independent trials on the
 serial backend (a loop here, outside the engine) or on the engine's
-batched / parallel backends.  Per-trial
-randomness uses the ``derive_seed`` discipline of
+batched / parallel backends.  Per-trial randomness follows the protocol
+replay layout of :func:`protocol_trial_streams`, shared with
 :func:`repro.core.spreading.protocol_trials` — trial ``i`` of any
 protocol gets the integer seed ``derive_seed(seed, 2 i)`` (and its
 random source from ``derive_seed(seed, 2 i + 1)``), so running
@@ -41,6 +43,7 @@ import numpy as np
 from repro import obs
 from repro.core.flooding import (
     DEFAULT_MAX_STEPS,
+    FloodingObserver,
     FloodingResult,
     _resolve_sources,
     resolve_max_steps,
@@ -96,9 +99,9 @@ def spread(
 ) -> FloodingResult:
     """Run *protocol* on *graph* from *source*; the serial reference path.
 
-    Mirrors :func:`repro.core.flooding.flood` exactly (update order,
-    truncation, history bookkeeping) with the protocol's four rules
-    plugged into the round.  A stalled protocol (retire predicate
+    Shares :func:`repro.core.flooding.flood`'s round loop (update
+    order, truncation, history bookkeeping) with the protocol's four
+    rules plugged into the round.  A stalled protocol (retire predicate
     fires) returns early with ``completed = False`` and ``time`` equal
     to the rounds actually run.
     """
@@ -114,19 +117,22 @@ def spread(
 
 def _spread_rounds(protocol: SpreadingProtocol, graph: EvolvingGraph,
                    sources: tuple[int, ...], budget: int,
-                   rng_proto: "np.random.Generator | None") -> FloodingResult:
+                   rng_proto: "np.random.Generator | None",
+                   observer: FloodingObserver | None = None) -> FloodingResult:
     """The round loop of :func:`spread` on an already-reset *graph*.
 
     *sources* are resolved and *budget* is a resolved step count;
     *rng_proto* is the protocol's own generator (``None`` for protocols
-    that draw none).  The engine's native fallback calls this with its
-    chunk-spawned streams.
+    that draw none); *observer* is called as in
+    :func:`~repro.core.flooding.flood`.  ``flood`` and the engine's
+    native fallback (with its chunk-spawned streams) call this directly.
     """
     n = graph.num_nodes
     informed = np.zeros(n, dtype=bool)
     informed[list(sources)] = True
     state = protocol.state_init(n, sources)
     history = [len(sources)]
+    fixpoint = graph.is_static and _is_plain_flooding(protocol)
 
     # Per-run transmit/sample kernel attribution, only when a live sink
     # is installed: the accumulation adds two clock reads per round.
@@ -136,6 +142,8 @@ def _spread_rounds(protocol: SpreadingProtocol, graph: EvolvingGraph,
     t = 0
     while history[-1] < n and t < budget:
         snap = graph.snapshot()
+        if observer is not None:
+            observer(t, snap, informed)
         active = protocol.active_mask(state, informed, t, rng_proto)
         if traced:
             t0 = time.perf_counter()
@@ -152,6 +160,16 @@ def _spread_rounds(protocol: SpreadingProtocol, graph: EvolvingGraph,
         history.append(count)
         if count < n and protocol.stalled(state, informed, t):
             break
+        if fixpoint and count == history[-2]:
+            break
+
+    # Static fixpoint: the rest of the budget only steps the clock.
+    while fixpoint and history[-1] < n and t < budget:
+        if observer is not None:
+            observer(t, graph.snapshot(), informed)
+        graph.step()
+        t += 1
+        history.append(history[-1])
 
     if traced:
         obs.histogram("protocol.transmit_s", transmit_s,

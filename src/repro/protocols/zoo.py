@@ -8,14 +8,15 @@ in :mod:`repro.protocols.batched`:
 * :class:`ProbabilisticFlooding` — every informed node transmits
   independently with probability ``transmit_probability`` per round
   (Oikonomou–Stavrakakis probabilistic flooding, reference [29] of the
-  paper).  Round-for-round **bit-identical** to the legacy
-  :func:`repro.core.spreading.probabilistic_flood` for the same seed.
+  paper).  The legacy :func:`repro.core.spreading.probabilistic_flood`
+  is a :func:`~repro.protocols.runner.spread` call of this protocol.
 * :class:`ExpiringFlooding` — SIR-style finite-memory spreading: a node
   relays only for ``active_steps`` rounds after becoming informed, then
   retires (the parsimonious flooding of Baumann–Crescenzi–Fraigniaud,
   reference [4]; the stationarity discussion of the paper motivates
   exactly this trade of completion guarantees for message complexity).
-  Bit-identical to :func:`repro.core.spreading.parsimonious_flood`.
+  The legacy :func:`repro.core.spreading.parsimonious_flood` is a
+  :func:`~repro.protocols.runner.spread` call of this protocol.
 * :class:`PushGossip` — every informed node contacts one uniformly
   random neighbor per round (randomized rumor spreading, reference
   [30]).
@@ -29,7 +30,10 @@ row-gather for the whole sender set plus a single uniform draw per
 sender (inverse-CDF over the row), instead of a Python loop over nodes.
 That makes even the *serial* path fast, and it is the exact rule the
 batched kernels replicate per trial — so replay results are
-bit-identical across backends by construction.
+bit-identical across backends by construction.  It is not the per-node
+``rng.integers(degree)`` rule of the legacy gossip functions in
+:mod:`repro.core.spreading`, so the two give different realisations
+for the same seed.
 """
 
 from __future__ import annotations
@@ -129,8 +133,8 @@ class ProbabilisticFlooding(SpreadingProtocol):
     per round, reaching all its neighbors when it fires.
 
     This is the per-*node* gossiping of reference [29] (and of the
-    legacy :func:`repro.core.spreading.probabilistic_flood`, which it
-    reproduces draw for draw).  Note it is **not** the same joint law
+    legacy :func:`repro.core.spreading.probabilistic_flood`, which runs
+    this protocol).  Note it is **not** the same joint law
     as per-*edge* i.i.d. relaying — single-neighbor marginals coincide
     (each neighbor hears u w.p. ``p``), but here u's neighbors hear it
     together or not at all.  ``transmit_probability = 1`` coincides
@@ -153,7 +157,7 @@ class ProbabilisticFlooding(SpreadingProtocol):
 
     def active_mask(self, state, informed, t, rng):
         # One random(n) vector per round, drawn unconditionally — the
-        # exact draw schedule of the legacy probabilistic_flood.
+        # draw schedule of the original probabilistic_flood loop.
         return informed & (rng.random(informed.shape[0])
                            < self.transmit_probability)
 

@@ -27,6 +27,7 @@ from repro.dynamics.sequence import (
 from repro.dynamics.snapshots import AdjacencySnapshot
 from repro.edgemeg.meg import EdgeMEG
 from repro.geometric.meg import GeometricMEG
+from repro.protocols import FLOODING, spread
 
 
 def static(adj) -> StaticEvolvingGraph:
@@ -350,3 +351,61 @@ class TestFloodMatchesOracle:
         res = flood(graph, 0, max_steps=100)
         assert res.time == 100 and graph.time == 100
         assert len(queries) == 2  # round 0 informs node 1, round 1 stalls
+
+
+def _assert_spread_matches_oracle(make_graph, sources, **kwargs):
+    """``spread(FLOODING)`` and ``oracle_flood`` on two identical graphs."""
+    graphs = make_graph(), make_graph()
+    got = spread(FLOODING, graphs[0], sources, **kwargs)
+    want = oracle_flood(graphs[1], sources, **kwargs)
+    assert got.source == want.source
+    assert got.time == want.time
+    assert got.completed == want.completed
+    assert got.informed_history.dtype == want.informed_history.dtype
+    np.testing.assert_array_equal(got.informed_history, want.informed_history)
+    np.testing.assert_array_equal(got.informed, want.informed)
+    assert graphs[0].time == graphs[1].time
+    return graphs
+
+
+class TestSpreadFloodingMatchesOracle:
+    """Flooding through :func:`spread` shares the static fixpoint of
+    :func:`flood`'s round loop and still equals the full loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=_SEED, n=st.integers(1, 24),
+           p=st.floats(0.0, 0.3), budget=st.one_of(st.none(),
+                                                   st.integers(1, 60)))
+    def test_static_adjacency(self, data, seed, n, p, budget):
+        adj = _random_adjacency(n, p, np.random.default_rng(seed))
+        _assert_spread_matches_oracle(lambda: static(adj),
+                                      _sources(n, data.draw), max_steps=budget)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=_SEED, n=st.integers(2, 30),
+           radius=st.floats(0.6, 1.4), move=st.sampled_from([0.0, 0.5]),
+           budget=st.one_of(st.none(), st.integers(1, 40)))
+    def test_static_geometric(self, data, seed, n, radius, move, budget):
+        eps = 0.5  # move = 0 and 0.5 * eps are both static
+
+        def make():
+            return GeometricMEG(n, move_radius=move * eps, radius=radius,
+                                eps=eps)
+
+        a, b = _assert_spread_matches_oracle(make, _sources(n, data.draw),
+                                             seed=seed, max_steps=budget)
+        assert a.is_static
+        assert a.walkers._rng.bit_generator.state == \
+            b.walkers._rng.bit_generator.state
+
+    def test_fixpoint_skips_neighbourhood_queries(self):
+        adj = np.zeros((5, 5), dtype=bool)
+        adj[0, 1] = adj[1, 0] = True
+        snap = AdjacencySnapshot(adj)
+        queries = []
+        query = snap.neighborhood_mask
+        snap.neighborhood_mask = lambda members: queries.append(1) or query(members)
+        graph = StaticEvolvingGraph(snap)
+        res = spread(FLOODING, graph, 0, max_steps=100)
+        assert res.time == 100 and graph.time == 100
+        assert len(queries) == 2

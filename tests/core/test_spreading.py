@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.flooding import flood
 from repro.core.spreading import (
     parsimonious_flood,
     probabilistic_flood,
+    protocol_trials,
     pull_gossip,
     push_gossip,
     push_pull_gossip,
@@ -16,6 +19,7 @@ from repro.core.spreading import (
 from repro.dynamics.sequence import StaticEvolvingGraph, complete_adjacency, cycle_adjacency
 from repro.dynamics.snapshots import AdjacencySnapshot
 from repro.edgemeg.meg import EdgeMEG
+from repro.protocols import ExpiringFlooding, PushPullGossip, spread, spreading_trials
 from repro.util.rng import spawn
 
 
@@ -141,3 +145,30 @@ class TestHistoryContracts:
         assert (np.diff(res.informed_history) >= 0).all()
         assert res.informed_history[0] == 1
         assert res.informed_history[-1] == res.num_informed
+
+
+class TestProtocolTrialsLayout:
+    """``protocol_trials`` draws per-trial seeds and sources from the
+    protocol replay layout of ``spreading_trials``."""
+
+    @pytest.mark.parametrize("make_seed", [
+        lambda: 11,
+        lambda: np.random.SeedSequence(11),
+        lambda: np.random.default_rng(11),
+    ], ids=["int", "seed-sequence", "generator"])
+    @pytest.mark.parametrize("protocol", [PushPullGossip(), ExpiringFlooding(2)],
+                             ids=["push-pull", "expiring"])
+    @pytest.mark.parametrize("source", [None, 3])
+    def test_matches_spreading_trials(self, make_seed, protocol, source):
+        meg = EdgeMEG(20, 0.1, 0.4)
+        got = protocol_trials(partial(spread, protocol), meg, trials=5,
+                              seed=make_seed(), source=source)
+        want = spreading_trials(protocol, meg, trials=5, seed=make_seed(),
+                                source=source)
+        assert len(got) == len(want) == 5
+        for a, b in zip(got, want):
+            assert a.source == b.source
+            assert a.time == b.time and a.completed == b.completed
+            np.testing.assert_array_equal(a.informed_history,
+                                          b.informed_history)
+            np.testing.assert_array_equal(a.informed, b.informed)
