@@ -12,6 +12,7 @@ from repro.geometric.meg import GeometricMEG, GeometricSnapshot
 from repro.geometric.neighbors import (
     batched_within_radius,
     brute_force_within_radius,
+    lattice_within_radius,
     member_neighbor_counts,
     radius_bound2,
     radius_csr,
@@ -34,6 +35,7 @@ __all__ = [
     "CellStatistics",
     "cell_count",
     "radius_bound2",
+    "lattice_within_radius",
     "within_radius_of_members",
     "member_neighbor_counts",
     "batched_within_radius",

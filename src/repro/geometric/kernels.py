@@ -4,9 +4,10 @@ Implements the :class:`~repro.dynamics.batched.BatchedDynamics`
 protocol for :class:`~repro.geometric.meg.GeometricMEG`.  The walker
 populations of all ``B`` trials share one ``(B, n)`` lattice-index
 array: the stationary initialisation and every move step are single
-vectorised lattice calls, and the ``N(I)`` query is the shared
-cell-grid query over all active trials
-(:func:`~repro.geometric.neighbors.batched_within_radius`).
+vectorised lattice calls, and the ``N(I)`` query is one exact
+lattice-disk stencil over the walker indices of all active trials
+(:func:`~repro.geometric.neighbors.lattice_within_radius`) — no
+coordinates are formed.
 
 Subclass gating mirrors the edge family: the factory serves only
 subclasses that inherit ``snapshot``, ``reset`` and ``step`` unchanged.
@@ -22,7 +23,7 @@ from repro.dynamics.batched import (
     uses_inherited,
 )
 from repro.geometric.meg import GeometricMEG
-from repro.geometric.neighbors import batched_within_radius
+from repro.geometric.neighbors import lattice_within_radius
 
 __all__ = ["GeometricBatchedDynamics"]
 
@@ -52,10 +53,10 @@ class GeometricBatchedDynamics(BatchedDynamics):
 
     def batch_neighborhood(self, state: _WalkerState, informed: np.ndarray,
                            act: np.ndarray) -> np.ndarray:
-        positions = self._lattice.to_coordinates(
-            state.ix[act].ravel(), state.iy[act].ravel())
-        positions = positions.reshape(act.shape[0], self._n, 2)
-        return batched_within_radius(positions, informed[act], self._radius)
+        return lattice_within_radius(state.ix[act], state.iy[act],
+                                     informed[act], self._radius,
+                                     eps=self._lattice.eps,
+                                     grid_size=self._lattice.grid_size)
 
     def batch_step(self, state: _WalkerState, rng: np.random.Generator,
                    active: np.ndarray) -> None:

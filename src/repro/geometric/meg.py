@@ -8,6 +8,11 @@ chain of walker positions — a Markovian evolving graph in the sense of
 Definition 3.1, stationary when the walkers start from their exact
 stationary distribution.
 
+Snapshots keep the walkers' lattice indices, so ``N(I)`` is answered
+on the lattice itself: the informed nodes' occupancy grid dilated by
+the fixed disk of lattice offsets within ``R``
+(:func:`~repro.geometric.neighbors.lattice_within_radius`).
+
 Density scaling (Observation 3.3): the constructor takes a ``density``
 parameter; the region side becomes ``sqrt(n / density)`` and all
 theorems apply with ``R >= c sqrt(log n / density)``.
@@ -23,6 +28,7 @@ from repro.dynamics.base import EvolvingGraph, GraphSnapshot
 from repro.geometric.cells import CellPartition
 from repro.geometric.lattice import Lattice
 from repro.geometric.neighbors import (
+    lattice_within_radius,
     member_neighbor_counts,
     radius_bound2,
     radius_csr,
@@ -40,16 +46,20 @@ __all__ = ["GeometricSnapshot", "GeometricMEG"]
 class GeometricSnapshot(GraphSnapshot):
     """Snapshot of a geometric graph: point set + transmission radius.
 
-    The ``N(I)`` query runs a nearest-member k-d tree query instead of
-    materialising edges, and :meth:`neighbor_counts` a ball-count query
-    on the same tree, so a flood never builds the whole graph.  Per-node
-    queries (:meth:`neighbors_of`, gossip neighbour sampling) slice
-    :attr:`csr`, built by one k-d pair query on first use and cached;
+    ``N(I)`` queries never materialise edges, so a flood never builds
+    the whole graph.  A snapshot of lattice walkers
+    (:meth:`on_lattice`, what :meth:`GeometricMEG.snapshot` returns)
+    answers them with the exact lattice-disk stencil, one call for all
+    rows of :meth:`neighborhood_masks`; a snapshot of arbitrary points
+    runs a nearest-member k-d tree query.  :meth:`neighbor_counts` is a
+    k-d ball-count query over the members.  Per-node queries
+    (:meth:`neighbors_of`, gossip neighbour sampling) slice :attr:`csr`,
+    built by one k-d pair query on first use and cached;
     :meth:`degrees` and :meth:`edge_count` build a full tree on demand
     (diagnostics, not the flooding hot path).
     """
 
-    __slots__ = ("_positions", "_radius", "_boxsize", "_csr")
+    __slots__ = ("_positions", "_radius", "_boxsize", "_csr", "_cells")
 
     def __init__(self, positions: np.ndarray, radius: float, *,
                  boxsize: float | None = None) -> None:
@@ -62,6 +72,16 @@ class GeometricSnapshot(GraphSnapshot):
                     "toroidal queries need radius <= boxsize/2")
         self._boxsize = boxsize
         self._csr = None
+        self._cells = None
+
+    @classmethod
+    def on_lattice(cls, lattice: Lattice, ix: np.ndarray, iy: np.ndarray,
+                   radius: float) -> GeometricSnapshot:
+        """Snapshot of walkers at lattice indices ``(ix, iy)`` of
+        *lattice*; ``N(I)`` queries run on the indices."""
+        snap = cls(lattice.to_coordinates(ix, iy), radius)
+        snap._cells = (lattice, ix, iy)
+        return snap
 
     @property
     def num_nodes(self) -> int:
@@ -83,8 +103,21 @@ class GeometricSnapshot(GraphSnapshot):
         return self._boxsize
 
     def neighborhood_mask(self, members: np.ndarray) -> np.ndarray:
-        return within_radius_of_members(self._positions, members, self._radius,
-                                        boxsize=self._boxsize)
+        if self._cells is None:
+            return within_radius_of_members(self._positions, members,
+                                            self._radius, boxsize=self._boxsize)
+        members = np.asarray(members, dtype=bool)
+        require(members.shape == (self.num_nodes,),
+                "members mask has wrong length")
+        return self.neighborhood_masks(members[None])[0]
+
+    def neighborhood_masks(self, members: np.ndarray) -> np.ndarray:
+        if self._cells is None:
+            return super().neighborhood_masks(members)
+        lattice, ix, iy = self._cells
+        return lattice_within_radius(ix, iy, members, self._radius,
+                                     eps=lattice.eps,
+                                     grid_size=lattice.grid_size)
 
     def neighbor_counts(self, members: np.ndarray) -> np.ndarray:
         return member_neighbor_counts(self._positions, members, self._radius,
@@ -215,7 +248,8 @@ class GeometricMEG(EvolvingGraph):
         self._t += 1
 
     def snapshot(self) -> GeometricSnapshot:
-        return GeometricSnapshot(self.walkers.positions(), self._radius)
+        ix, iy = self.walkers.indices
+        return GeometricSnapshot.on_lattice(self.lattice, ix, iy, self._radius)
 
     @property
     def time(self) -> int:

@@ -3,9 +3,16 @@
 Geometric snapshots answer ``N(I)`` queries ("which nodes outside ``I``
 are within distance ``R`` of some node of ``I``?").  A dense adjacency
 matrix would cost ``O(n^2)`` memory; instead we exploit the spatial
-structure with a k-d tree over the *member* points and a nearest-member
-query from every non-member — ``O(n log |I|)`` per step, and the tree
-is built over the (usually small early / irrelevant late) informed set.
+structure.  Walkers of the geometric MEG sit on the lattice
+``L_{n,eps}``, where adjacency is one fixed disk of lattice offsets:
+:func:`lattice_within_radius` dilates the members' occupancy grid by
+that disk and reads it back at every node's cell — no distances, no
+trees, ``O(B g^2 R/eps)`` for ``B`` stacked trials on a ``g x g``
+lattice, whatever ``|I|``.  Continuous positions (the mobility models,
+explicit point sets) take a k-d tree over the *member* points and a
+nearest-member query from every non-member — ``O(n log |I|)`` per step
+(:func:`within_radius_of_members`) — or, for ``B`` stacked trials, the
+shared cell grid of :func:`batched_within_radius`.
 :func:`member_neighbor_counts` runs the same tree as a ball-count query,
 giving every point its number of member neighbours — the exact integer
 state the worst-expansion search updates swap by swap.
@@ -26,6 +33,7 @@ scipy details and the patterns are unit-testable against brute force.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,6 +44,7 @@ from repro.util.validation import require, require_positive
 
 __all__ = [
     "radius_bound2",
+    "lattice_within_radius",
     "within_radius_of_members",
     "member_neighbor_counts",
     "batched_within_radius",
@@ -63,6 +72,118 @@ def radius_bound2(radius: float) -> float:
     adjacent iff ``d^2 <= radius_bound2(R)``."""
     query = _query_radius(radius)
     return query * query
+
+
+@functools.lru_cache(maxsize=64)
+def _disk_half_widths(radius: float, eps: float,
+                      grid_size: int) -> tuple[int, ...]:
+    """The edge rule's disk of lattice offsets, as one half-width per row.
+
+    Entry ``dy`` is the largest ``dx >= 0`` with ``(dx*eps)**2 +
+    (dy*eps)**2 <= radius_bound2(R)``; rows run from ``dy = 0`` up to
+    the last row the disk reaches, and offsets are capped at
+    ``grid_size - 1`` (no two lattice points are farther apart).
+    """
+    bound2 = radius_bound2(radius)
+    reach = min(int(math.sqrt(bound2) / eps) + 1, grid_size - 1)
+    offset2 = (np.arange(reach + 1) * eps) ** 2
+    widths = (offset2[:, None] + offset2[None, :] <= bound2).sum(axis=1) - 1
+    return tuple(int(w) for w in widths[widths >= 0])
+
+
+def _disk_dilation(occupied: np.ndarray,
+                   half_widths: tuple[int, ...]) -> np.ndarray:
+    """``reached[b, x, y]``: whether any ``occupied[b, x + dx, y + dy]``
+    with ``|dx| <= half_widths[|dy|]`` is set (out-of-range cells empty).
+
+    Rows are visited from the narrowest (largest ``|dy|``) to ``dy = 0``;
+    one running OR over the ``x`` offsets is widened a unit at a time
+    (two shifted ORs per unit) and each row ORs it in shifted by
+    ``+-dy``.  Every step is a whole-array boolean OR, so the pass count
+    is ``2 max(half_widths) + 2 len(half_widths) - 1``.
+    """
+    reached = np.zeros_like(occupied)
+    rows = occupied.copy()
+    width = 0
+    for dy in range(len(half_widths) - 1, -1, -1):
+        while width < half_widths[dy]:
+            width += 1
+            rows[:, width:] |= occupied[:, :-width]
+            rows[:, :-width] |= occupied[:, width:]
+        if dy == 0:
+            reached |= rows
+        else:
+            reached[:, :, dy:] |= rows[:, :, :-dy]
+            reached[:, :, :-dy] |= rows[:, :, dy:]
+    return reached
+
+
+def lattice_within_radius(
+    ix: np.ndarray,
+    iy: np.ndarray,
+    members: np.ndarray,
+    radius: float,
+    *,
+    eps: float,
+    grid_size: int,
+) -> np.ndarray:
+    """``N(I)`` of ``B`` stacked trials whose nodes sit on a lattice,
+    answered by an exact disk stencil.
+
+    Node ``j`` of trial ``b`` sits at ``(ix[b, j] * eps, iy[b, j] *
+    eps)`` on the ``grid_size x grid_size`` lattice ``L_{n,eps}``.  Two
+    lattice points are adjacent iff their index offset ``(dx, dy)``
+    satisfies ``(dx*eps)**2 + (dy*eps)**2 <= radius_bound2(R)`` — one
+    fixed disk of offsets.  So each trial's members are marked on a
+    ``(g, g)`` occupancy grid, the grid is dilated by the disk (shifted
+    boolean ORs, row by row of the disk), and the result is read back
+    at every node's cell.  Coincident walkers share a cell, and a node
+    at distance 0 of a member is reached like any other.  Work is
+    ``O(B g^2 R/eps)`` — about ``4 R/eps`` OR passes over the ``(B, g,
+    g)`` grid — independent of ``|I|``; no distance is computed.
+
+    Parameters
+    ----------
+    ix, iy:
+        Integer lattice indices in ``[0, grid_size)``, of shape ``(B,
+        n)`` or ``(n,)`` (one placement shared by every row).
+    members:
+        ``(B, n)`` boolean mask of each trial's member set.
+    radius:
+        Transmission radius ``R`` (inclusive, as everywhere here).
+    eps, grid_size:
+        Lattice resolution and points per axis
+        (:class:`~repro.geometric.lattice.Lattice`).
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(B, n)`` boolean mask, disjoint from *members*; row ``b``
+        equals :func:`within_radius_of_members` on the coordinates of
+        row ``b``.  (The two compute an offset's length with different
+        round-off, so they could split only an offset whose length lies
+        within that round-off of the slack band's outer edge
+        ``R (1 + 1e-12)``.)
+    """
+    members = np.asarray(members, dtype=bool)
+    require(members.ndim == 2, "members mask must be (B, n)")
+    ix = np.broadcast_to(np.asarray(ix, dtype=np.int64), members.shape)
+    iy = np.broadcast_to(np.asarray(iy, dtype=np.int64), members.shape)
+    radius = require_positive(radius, "radius")
+
+    num_trials, n = members.shape
+    out = np.zeros((num_trials, n), dtype=bool)
+    if not members.any() or members.all():
+        return out
+    g = grid_size
+    require(min(ix.min(), iy.min()) >= 0 and max(ix.max(), iy.max()) < g,
+            "lattice indices must lie in [0, grid_size)")
+    cells = (np.arange(num_trials)[:, None] * g + ix) * g + iy
+    occupied = np.zeros((num_trials, g, g), dtype=bool)
+    occupied.ravel()[cells[members]] = True
+    reached = _disk_dilation(occupied, _disk_half_widths(radius, eps, g))
+    np.logical_and(reached.ravel()[cells], ~members, out=out)
+    return out
 
 
 def _prepare(positions: np.ndarray, boxsize: float | None) -> np.ndarray:

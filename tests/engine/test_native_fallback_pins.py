@@ -1,4 +1,5 @@
-"""Pinned realisations of the engine's native per-trial fallback.
+"""Pinned realisations of the engine's native paths: the per-trial
+fallback and the geometric family's flooding kernel.
 
 Protocol/model pairs without composed native kernels — push, pull and
 push–pull gossip on any family, and every protocol on a model whose
@@ -10,6 +11,13 @@ SHA-256 digests of every trial's source, time, completion flag,
 informed-count history and final informed mask, so a refactor of the
 fallback loop cannot silently change them.  ``chunk_size < trials``
 keeps the per-chunk seeding under the pin.
+
+Native flooding on :class:`~repro.geometric.meg.GeometricMEG` runs the
+geometric family's own kernels (lattice walkers, batched ``N(I)``); its
+realisations are pinned the same way across move radii (``r = 1``,
+``r > eps`` and the static ``r = 0``, completing and stalling),
+resolutions ``eps`` of 1, 0.5 and 0.3 (an offset at exactly ``R``),
+density 2, multi-source and truncated runs.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core.flooding import flooding_trials
 from repro.edgemeg.meg import EdgeMEG
 from repro.geometric.meg import GeometricMEG
 from repro.protocols import (
@@ -101,4 +110,46 @@ def test_native_fallback_realisations_pinned(protocol, factory, kwargs,
     results = spreading_trials(protocol, factory(), trials=7, seed=2009,
                                backend="batched", rng_mode="native",
                                chunk_size=3, **kwargs)
+    assert _digest(results) == expected
+
+
+GEOMETRIC_CASES = [
+    pytest.param(dict(move_radius=1.0, radius=3.0), {},
+                 "77cc606ac96ee045a344e6c65a5378656d8f26be14af150840da07a9fb0bed9d",
+                 id="r1"),
+    pytest.param(dict(move_radius=2.5, radius=3.0), {},
+                 "7cbc93d0296b84a596bcf89f41def25d3e9842a2abea9242d6c3a6807a33c7e3",
+                 id="r-above-eps"),
+    pytest.param(dict(move_radius=0.0, radius=3.0), {},
+                 "988f30abe0c4c885db22bac60d95e8aa3815bb1d1494bd02b8e99c4a4edca8d9",
+                 id="static"),
+    # Disconnected: five of the seven trials stall until the budget.
+    pytest.param(dict(move_radius=0.0, radius=1.5), {},
+                 "b68c82213488c21303f93e28398131bb7039a34a0558bbc632c66d0e0aaf16e2",
+                 id="static-stall"),
+    pytest.param(dict(move_radius=1.0, radius=2.0, eps=0.5), {},
+                 "c6453c21a24e651a4fce14afcb0d870ab93332d03d4577b2976aee8308951ebb",
+                 id="eps-half"),
+    # R = 5 eps: the (3, 4) lattice offset sits at exactly R.
+    pytest.param(dict(move_radius=0.6, radius=1.5, eps=0.3, density=4.0), {},
+                 "4a0ac7ea5f685027f0107beca33ba92939e4a0cdaab09860f7dc9f0f00938ac5",
+                 id="eps-0.3-exact-R"),
+    pytest.param(dict(move_radius=1.0, radius=2.0, density=2.0), {},
+                 "7a3037767b4b4674a5405d705a2dd9aaee9c6abc7a89a2eeab81133a9d72aed6",
+                 id="density-2"),
+    pytest.param(dict(move_radius=1.0, radius=3.0), {"source": (0, 5, 11)},
+                 "b7226b73fc7ae15fcd5756996e9ac7bad5043e11cd4bc581ba5d4323574fda61",
+                 id="multisource"),
+    # Truncates every trial at the step budget.
+    pytest.param(dict(move_radius=1.0, radius=2.0), {"max_steps": 3},
+                 "b312774cda9f204400f266064c33d4765946cf725db401e88855cf52a700ad24",
+                 id="truncated"),
+]
+
+
+@pytest.mark.parametrize("params, kwargs, expected", GEOMETRIC_CASES)
+def test_native_geometric_flooding_pinned(params, kwargs, expected):
+    results = flooding_trials(GeometricMEG(100, **params), trials=7,
+                              seed=2009, backend="batched",
+                              rng_mode="native", chunk_size=3, **kwargs)
     assert _digest(results) == expected

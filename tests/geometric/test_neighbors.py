@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometric.meg import GeometricSnapshot
+from repro.geometric.lattice import Lattice
+from repro.geometric.meg import GeometricMEG, GeometricSnapshot
 from repro.geometric.neighbors import (
     batched_within_radius,
     brute_force_within_radius,
+    lattice_within_radius,
     member_neighbor_counts,
     radius_bound2,
     radius_csr,
@@ -488,3 +490,130 @@ class TestTorusWrapEdge:
         for u in range(n):
             np.testing.assert_array_equal(
                 counts[u], np.count_nonzero(members[indices[indptr[u]:indptr[u + 1]]]))
+
+
+#: Radius factors relative to a lattice offset's length ``d``: the offset
+#: at exactly ``R``, inside the slack band (``d = R (1 + 0.75e-12)``),
+#: and just past it (``d = R (1 + 3e-12)``).
+_OFFSET_FACTORS = (1.0, 1 / (1 + 0.75e-12), 1 / (1 + 3e-12))
+
+
+@st.composite
+def lattice_stencil_inputs(draw):
+    """``(lattice, ix, iy, members, radius)``: ``B`` stacked trials of
+    walkers on ``L_{n,eps}`` for the lattice-disk stencil."""
+    eps = draw(st.sampled_from([1.0, 0.5, 0.3, 0.7]))
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([1.0, 0.6, 2.0, 3.3]))
+    lattice = Lattice(side=max(math.sqrt(n / density), eps), eps=eps,
+                      move_radius=0.0)
+    g = lattice.grid_size
+    num_trials = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["uniform", "coincident", "border"]))
+    if layout == "uniform":
+        ix = rng.integers(0, g, size=(num_trials, n))
+        iy = rng.integers(0, g, size=(num_trials, n))
+    elif layout == "coincident":
+        cells = rng.integers(0, g, size=(2, 3))
+        pick = rng.integers(0, 3, size=(num_trials, n))
+        ix, iy = cells[0][pick], cells[1][pick]
+    else:  # every walker on the lattice border
+        ix = rng.integers(0, g, size=(num_trials, n))
+        iy = rng.choice([0, g - 1], size=(num_trials, n))
+        swap = rng.random((num_trials, n)) < 0.5
+        ix, iy = np.where(swap, iy, ix), np.where(swap, ix, iy)
+    fill = draw(st.sampled_from(["empty", "full", "random"]))
+    if fill == "random":
+        members = rng.random((num_trials, n)) < draw(st.floats(0.05, 0.95))
+    else:
+        members = np.full((num_trials, n), fill == "full")
+    kind = draw(st.sampled_from(["offset", "side", "free"]))
+    if kind == "offset":
+        a, b = draw(st.tuples(st.integers(0, g - 1), st.integers(1, g - 1)))
+        radius = math.hypot(a * eps, b * eps) * draw(
+            st.sampled_from(_OFFSET_FACTORS))
+    elif kind == "side":
+        radius = lattice.side * draw(st.sampled_from([1.0, 0.97]))
+    else:
+        radius = draw(st.floats(0.1, 1.5)) * lattice.side
+    return lattice, ix, iy, members, radius
+
+
+class TestLatticeStencil:
+    """The exact lattice-disk stencil behind the geometric MEG's ``N(I)``
+    (native kernel and serial snapshots) against brute force on the
+    lattice coordinates, under the one inclusive edge rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lattice_stencil_inputs())
+    def test_property_matches_brute_force(self, case):
+        lattice, ix, iy, members, radius = case
+        out = lattice_within_radius(ix, iy, members, radius, eps=lattice.eps,
+                                    grid_size=lattice.grid_size)
+        assert out.shape == members.shape and out.dtype == bool
+        for b in range(members.shape[0]):
+            positions = lattice.to_coordinates(ix[b], iy[b])
+            np.testing.assert_array_equal(
+                out[b], brute_force_within_radius(positions, members[b], radius),
+                err_msg=f"trial {b}")
+
+    @pytest.mark.parametrize("eps", [1.0, 0.5, 0.3, 0.7])
+    @pytest.mark.parametrize("factor, connects", [
+        pytest.param(1.0, True, id="exact"),
+        pytest.param(1 / (1 + 0.75e-12), True, id="in-band"),
+        pytest.param(1 / (1 + 3e-12), False, id="past-band")])
+    def test_offset_at_the_edge_rule(self, eps, factor, connects):
+        """Offset ``(3, 4)``: at exactly ``R``, inside the slack band,
+        and just past it."""
+        radius = 5 * eps * factor
+        ix, iy = np.array([[1, 4]]), np.array([[2, 6]])
+        out = lattice_within_radius(ix, iy, np.array([[True, False]]), radius,
+                                    eps=eps, grid_size=8)
+        assert out.tolist() == [[False, connects]]
+        positions = Lattice(side=7 * eps, eps=eps,
+                            move_radius=0.0).to_coordinates(ix[0], iy[0])
+        assert brute_force_within_radius(
+            positions, np.array([True, False]), radius)[1] == connects
+
+    @settings(max_examples=25, deadline=None)
+    @given(params=st.sampled_from([
+               dict(move_radius=0.0, radius=1.6),
+               dict(move_radius=1.0, radius=2.0),
+               dict(move_radius=2.5, radius=3.0),
+               dict(move_radius=0.6, radius=1.5, eps=0.3),
+               dict(move_radius=1.0, radius=1.2, eps=0.5),
+               dict(move_radius=0.7, radius=2.1, eps=0.7, density=2.0)]),
+           n=st.integers(12, 60), seed=st.integers(0, 2**32 - 1))
+    def test_meg_snapshot_along_floods(self, params, n, seed):
+        """Along static and moving floods, the lattice snapshot's
+        ``N(I)`` equals the k-d query on its coordinates, and
+        ``neighborhood_masks`` equals the row-by-row query."""
+        meg = GeometricMEG(n, **params)
+        meg.reset(seed)
+        informed = np.zeros(n, dtype=bool)
+        informed[0] = True
+        for _ in range(12):
+            snap = meg.snapshot()
+            fresh = snap.neighborhood_mask(informed)
+            np.testing.assert_array_equal(
+                fresh, within_radius_of_members(snap.positions, informed,
+                                                meg.radius))
+            rows = np.stack([informed, ~informed, fresh])
+            np.testing.assert_array_equal(
+                snap.neighborhood_masks(rows),
+                [within_radius_of_members(snap.positions, row, meg.radius)
+                 for row in rows])
+            informed |= fresh
+            meg.step()
+
+    def test_rejects_malformed_input(self):
+        meg = GeometricMEG(16, move_radius=1.0, radius=2.0)
+        meg.reset(0)
+        with pytest.raises(ValueError):
+            meg.snapshot().neighborhood_mask(np.zeros(15, dtype=bool))
+        members = np.array([[True, False]])
+        for ix in ([[0, 9]], [[-1, 0]]):
+            with pytest.raises(ValueError, match="lattice indices"):
+                lattice_within_radius(np.array(ix), np.zeros((1, 2), int),
+                                      members, 2.0, eps=1.0, grid_size=9)

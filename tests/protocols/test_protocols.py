@@ -9,6 +9,9 @@ coupled realisation, and the registry round-trips tokens.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,19 @@ from repro.protocols import (
     spread,
 )
 from repro.util.rng import spawn
+
+
+def _load_oracles():
+    """The standalone legacy round loops of ``test_spreading_oracles.py``
+    (loaded by path: the test directories are not packages)."""
+    path = Path(__file__).resolve().parents[1] / "core" / "test_spreading_oracles.py"
+    spec = importlib.util.spec_from_file_location("_spreading_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_ORACLES = _load_oracles()
 
 
 def static(adj) -> StaticEvolvingGraph:
@@ -84,24 +100,32 @@ class TestFloodingAnchor:
 
 
 class TestLegacyEquivalence:
-    """The new frozen-dataclass protocols reproduce the legacy serial
-    implementations of ``repro.core.spreading`` draw for draw."""
+    """The frozen-dataclass protocols, and the legacy
+    ``repro.core.spreading`` functions that now call them, reproduce the
+    original standalone round loops (the ``oracle_*`` loops) draw for
+    draw."""
 
     @pytest.mark.parametrize("seed", [0, 2, 9])
     @pytest.mark.parametrize("p", [0.2, 0.5, 1.0])
     def test_probabilistic(self, seed, p):
         meg = EdgeMEG(24, 0.25, 0.4)
+        oracle = _ORACLES.oracle_probabilistic_flood(
+            meg, 1, transmit_probability=p, seed=seed)
         legacy = probabilistic_flood(meg, 1, transmit_probability=p, seed=seed)
         fresh = spread(ProbabilisticFlooding(p), meg, 1, seed=seed)
-        assert_same_result(legacy, fresh)
+        assert_same_result(oracle, legacy)
+        assert_same_result(oracle, fresh)
 
     @pytest.mark.parametrize("seed", [0, 2, 9])
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_expiring_vs_parsimonious(self, seed, k):
         meg = EdgeMEG(24, 0.1, 0.6)
+        oracle = _ORACLES.oracle_parsimonious_flood(
+            meg, 1, active_steps=k, seed=seed)
         legacy = parsimonious_flood(meg, 1, active_steps=k, seed=seed)
         fresh = spread(ExpiringFlooding(k), meg, 1, seed=seed)
-        assert_same_result(legacy, fresh)
+        assert_same_result(oracle, legacy)
+        assert_same_result(oracle, fresh)
 
 
 class TestProtocolSemantics:
